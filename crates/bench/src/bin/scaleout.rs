@@ -4,7 +4,11 @@
 //! Writes `BENCH_scaleout.json`. With `--check-baseline FILE` the run
 //! fails (exit 1) if ticks/sec at any matching size regresses more than
 //! 30 % below the checked-in baseline — the CI perf smoke gate.
+//! `--help` lists the flags; a misused flag exits 2 with a one-line
+//! usage error.
 
+use std::fmt;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use agile_core::{PlanMode, PowerPolicy};
@@ -52,85 +56,147 @@ struct Row {
     work: Vec<(String, u64)>,
 }
 
-fn main() {
-    let mut sizes: Vec<usize> = vec![64, 256, 1024];
-    let mut out_path = String::from("BENCH_scaleout.json");
-    let mut baseline: Option<String> = None;
-    let mut repeat = 3usize;
-    let mut threads = 1usize;
-    let mut plan_mode = PlanMode::Indexed;
-    let mut ladder = false;
-    let mut wake_slo_secs = 12u64;
-    let mut schedulers = 1usize;
-    let mut staleness = 0usize;
-    let mut args = std::env::args().skip(1);
+const USAGE: &str = "\
+usage: scaleout [FLAGS]
+
+Measures ticks/s, span attribution and peak RSS at each cluster size and
+writes BENCH_scaleout.json.
+
+  --sizes LIST          comma-separated host counts      [default 64,256,1024]
+  --out PATH            output file              [default BENCH_scaleout.json]
+  --check-baseline PATH fail (exit 1) if ticks/s at a size falls more than
+                        30 % below the baseline file
+  --repeat N            runs per size, best kept (N >= 1)          [default 3]
+  --threads N           worker threads (N >= 1)                    [default 1]
+  --plan-mode M         scan | indexed                       [default indexed]
+  --ladder              bench the C6/S3/S5 ladder under the joint-ladder policy
+  --wake-slo SECS       joint-ladder wake SLO (SECS >= 1)         [default 12]
+  --schedulers N        control-plane schedulers (N >= 1)          [default 1]
+  --staleness R         scheduler view staleness, rounds           [default 0]
+  --help                print this help
+
+A misused flag exits 2 with a one-line error.
+";
+
+/// A command-line misuse — unknown flag, missing or malformed value —
+/// reported as one line and exit status 2 instead of a panic.
+#[derive(Debug)]
+struct UsageError(String);
+
+impl fmt::Display for UsageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for UsageError {}
+
+/// Parsed command-line options.
+struct Options {
+    sizes: Vec<usize>,
+    out_path: String,
+    baseline: Option<String>,
+    repeat: usize,
+    threads: usize,
+    plan_mode: PlanMode,
+    ladder: bool,
+    wake_slo_secs: u64,
+    schedulers: usize,
+    staleness: usize,
+}
+
+/// Parses the flags; `Ok(None)` means `--help`.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Options>, UsageError> {
+    let mut opts = Options {
+        sizes: vec![64, 256, 1024],
+        out_path: String::from("BENCH_scaleout.json"),
+        baseline: None,
+        repeat: 3,
+        threads: 1,
+        plan_mode: PlanMode::Indexed,
+        ladder: false,
+        wake_slo_secs: 12,
+        schedulers: 1,
+        staleness: 0,
+    };
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .ok_or_else(|| UsageError(format!("{arg} needs {what}")))
+        };
         match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
             "--sizes" => {
-                let list = args.next().expect("--sizes needs a comma-separated list");
-                sizes = list
+                let list = value("a comma-separated list of host counts")?;
+                opts.sizes = list
                     .split(',')
-                    .map(|s| s.trim().parse().expect("bad size"))
-                    .collect();
+                    .map(|s| number("--sizes", s.trim(), 1))
+                    .collect::<Result<_, _>>()?;
             }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--check-baseline" => {
-                baseline = Some(args.next().expect("--check-baseline needs a path"))
-            }
-            "--repeat" => {
-                repeat = args
-                    .next()
-                    .expect("--repeat needs a count")
-                    .parse()
-                    .expect("bad repeat count");
-                assert!(repeat >= 1, "--repeat must be at least 1");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("bad thread count");
-                assert!(threads >= 1, "--threads must be at least 1");
-            }
+            "--out" => opts.out_path = value("a path")?,
+            "--check-baseline" => opts.baseline = Some(value("a path")?),
+            "--repeat" => opts.repeat = number(&arg, &value("a count")?, 1)?,
+            "--threads" => opts.threads = number(&arg, &value("a count")?, 1)?,
             "--plan-mode" => {
-                plan_mode = match args
-                    .next()
-                    .expect("--plan-mode needs scan|indexed")
-                    .as_str()
-                {
+                opts.plan_mode = match value("scan or indexed")?.as_str() {
                     "scan" => PlanMode::Scan,
                     "indexed" => PlanMode::Indexed,
-                    other => panic!("--plan-mode must be scan or indexed, got {other:?}"),
+                    other => {
+                        return Err(UsageError(format!(
+                            "--plan-mode must be scan or indexed, got `{other}`"
+                        )))
+                    }
                 };
             }
-            "--ladder" => ladder = true,
-            "--schedulers" => {
-                schedulers = args
-                    .next()
-                    .expect("--schedulers needs a count")
-                    .parse()
-                    .expect("bad scheduler count");
-                assert!(schedulers >= 1, "--schedulers must be at least 1");
-            }
-            "--staleness" => {
-                staleness = args
-                    .next()
-                    .expect("--staleness needs a round count")
-                    .parse()
-                    .expect("bad staleness");
-            }
-            "--wake-slo" => {
-                wake_slo_secs = args
-                    .next()
-                    .expect("--wake-slo needs seconds")
-                    .parse()
-                    .expect("bad wake SLO");
-                assert!(wake_slo_secs >= 1, "--wake-slo must be at least 1 second");
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--ladder" => opts.ladder = true,
+            "--schedulers" => opts.schedulers = number(&arg, &value("a count")?, 1)?,
+            "--staleness" => opts.staleness = number(&arg, &value("a round count")?, 0)?,
+            "--wake-slo" => opts.wake_slo_secs = number(&arg, &value("seconds")?, 1)?,
+            other => return Err(UsageError(format!("unknown argument `{other}`"))),
         }
     }
+    Ok(Some(opts))
+}
+
+/// Parses `text` as a whole number of at least `min`.
+fn number<T: std::str::FromStr + PartialOrd + From<u8> + fmt::Display>(
+    flag: &str,
+    text: &str,
+    min: u8,
+) -> Result<T, UsageError> {
+    match text.parse::<T>() {
+        Ok(n) if n >= T::from(min) => Ok(n),
+        _ => Err(UsageError(format!(
+            "{flag} needs a whole number of at least {min}, got `{text}`"
+        ))),
+    }
+}
+
+fn main() -> ExitCode {
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("scaleout: error: {e} (run `scaleout --help` for usage)");
+            return ExitCode::from(2);
+        }
+    };
+    let Options {
+        sizes,
+        out_path,
+        baseline,
+        repeat,
+        threads,
+        plan_mode,
+        ladder,
+        wake_slo_secs,
+        schedulers,
+        staleness,
+    } = opts;
 
     // `--ladder` benches the joint sleep+speed path instead: the C6→S3→S5
     // scenario under the joint-ladder policy at `--wake-slo` seconds. The
@@ -184,6 +250,7 @@ fn main() {
         check_baseline(&rows, &text);
         println!("baseline check passed ({path})");
     }
+    ExitCode::SUCCESS
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -106,95 +106,6 @@ fn reset_zeroed(v: &mut Vec<f64>, n: usize) {
     v.resize(n, 0.0);
 }
 
-/// An immutable, thread-shareable snapshot of the per-host and per-VM
-/// state the engine's sharded observation aggregation reads every tick.
-///
-/// [`Cluster`] itself is not `Sync` — its lazy accounting caches use
-/// interior mutability — so shard workers cannot share `&Cluster`. The
-/// view borrows only plain data (hosts, specs, placement, migrations, and
-/// the incremental accounting totals) and re-implements the same read
-/// logic, including the [`AccountingMode`] dispatch, so every answer is
-/// bit-identical to the corresponding `Cluster` query.
-///
-/// Obtain one with [`Cluster::shard_view`]; it is `Copy`, so each shard
-/// closure can capture its own.
-#[derive(Clone, Copy)]
-pub struct ClusterShardView<'a> {
-    hosts: &'a [Host],
-    vms: &'a [VmSpec],
-    placement: &'a PlacementMap,
-    migrations: &'a [Option<Migration>],
-    inbound: &'a [u32],
-    mem_committed: &'a [f64],
-    accounting: AccountingMode,
-}
-
-impl<'a> ClusterShardView<'a> {
-    /// All hosts, indexable by `HostId::index()`.
-    pub fn hosts(&self) -> &'a [Host] {
-        self.hosts
-    }
-
-    /// All VM specs, indexable by `VmId::index()`.
-    pub fn vm_specs(&self) -> &'a [VmSpec] {
-        self.vms
-    }
-
-    /// The host the VM currently runs on, if placed.
-    pub fn host_of(&self, vm: VmId) -> Option<HostId> {
-        self.placement.host_of(vm)
-    }
-
-    /// Whether a live migration of `vm` is in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vm` is out of range.
-    pub fn is_migrating(&self, vm: VmId) -> bool {
-        self.migrations[vm.index()].is_some()
-    }
-
-    /// Whether `host` can be powered down: no placed VMs, no inbound
-    /// migrations. Same answer as [`Cluster::is_evacuated`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn is_evacuated(&self, host: HostId) -> bool {
-        self.placement.is_empty_host(host) && self.inbound[host.index()] == 0
-    }
-
-    /// Memory committed on `host` (placed VMs + inbound reservations),
-    /// GB. Bit-identical to [`Cluster::mem_committed_gb`]: incremental
-    /// accounting reads the running total, scan accounting re-folds from
-    /// first principles with the same `+0.0`-seeded fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn mem_committed_gb(&self, host: HostId) -> f64 {
-        match self.accounting {
-            AccountingMode::Incremental => self.mem_committed[host.index()],
-            AccountingMode::Scan => {
-                let placed = self
-                    .placement
-                    .vms_on(host)
-                    .iter()
-                    .map(|&vm| self.vms[vm.index()].mem_gb())
-                    .fold(0.0f64, |a, b| a + b);
-                let inbound = self
-                    .migrations
-                    .iter()
-                    .flatten()
-                    .filter(|m| m.to == host)
-                    .map(|m| self.vms[m.vm.index()].mem_gb())
-                    .fold(0.0f64, |a, b| a + b);
-                placed + inbound
-            }
-        }
-    }
-}
-
 /// Result of applying one round of VM demand to the cluster.
 ///
 /// Produced by [`Cluster::apply_demand`]; the simulator derives its
@@ -359,21 +270,6 @@ impl Cluster {
         self.threads
     }
 
-    /// A `Copy + Sync` read-only view over the state the engine's sharded
-    /// observation fill needs — see [`ClusterShardView`]. Every query on
-    /// the view is bit-identical to the corresponding `Cluster` method.
-    pub fn shard_view(&self) -> ClusterShardView<'_> {
-        ClusterShardView {
-            hosts: &self.hosts,
-            vms: &self.vms,
-            placement: &self.placement,
-            migrations: &self.migrations,
-            inbound: &self.inbound,
-            mem_committed: &self.host_mem_committed,
-            accounting: self.accounting,
-        }
-    }
-
     /// Switches between incremental and scan-based accounting. Both modes
     /// are bit-identical by construction; `Scan` exists as the reference
     /// for determinism tests and debugging.
@@ -443,6 +339,11 @@ impl Cluster {
         &self.hosts
     }
 
+    /// All VM specs, indexable by `VmId::index()`.
+    pub fn vm_specs(&self) -> &[VmSpec] {
+        &self.vms
+    }
+
     /// The placement map.
     pub fn placement(&self) -> &PlacementMap {
         &self.placement
@@ -469,6 +370,15 @@ impl Cluster {
     /// Panics if `vm` is out of range.
     pub fn migration_of(&self, vm: VmId) -> Option<Migration> {
         self.migrations[vm.index()]
+    }
+
+    /// Whether a live migration of `vm` is in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vm` is out of range.
+    pub fn is_migrating(&self, vm: VmId) -> bool {
+        self.migrations[vm.index()].is_some()
     }
 
     /// Total live migrations started so far.

@@ -5,13 +5,14 @@ use power::breakeven::LowPowerMode;
 use power::PowerState;
 
 use crate::plan::PlanContext;
+use crate::predict::PredictorBank;
 use crate::{
     consolidate, drm, ActionReason, ClusterObservation, DayProfile, DecisionActions,
     DecisionRecord, DecisionTrigger, HysteresisGate, IndexWorkCounters, ManagementAction,
-    ManagerConfig, PowerPolicy, Predictor, RecoveryTracker, WorkCounters,
+    ManagerConfig, PowerPolicy, RecoveryTracker, WorkCounters,
 };
 use obs::{Histogram, SpanTracer};
-use simcore::{pool, SimDuration};
+use simcore::SimDuration;
 
 /// Cumulative counts of actions the manager has requested — the
 /// "management overhead" the paper compares against base DRM (experiment
@@ -76,7 +77,7 @@ impl RoundStats {
 #[derive(Debug, Clone)]
 pub struct VirtManager {
     config: ManagerConfig,
-    predictors: Vec<Predictor>,
+    predictors: PredictorBank,
     gate: HysteresisGate,
     draining: Vec<bool>,
     recovery: RecoveryTracker,
@@ -89,8 +90,8 @@ pub struct VirtManager {
     /// allocates nothing.
     predicted_buf: Vec<f64>,
     ctx: PlanContext,
-    /// Worker threads for the sharded prediction fill and consolidation
-    /// candidate scan; `1` keeps planning fully serial.
+    /// Worker threads for the sharded consolidation candidate scan; `1`
+    /// keeps planning fully serial.
     threads: usize,
     /// Log-bucket histogram of total actions per round — deterministic
     /// (counts actions, not time), feeds the decision record's
@@ -120,9 +121,7 @@ impl VirtManager {
     /// [`ManagerConfig::validate`]).
     pub fn new(config: ManagerConfig, num_hosts: usize, num_vms: usize) -> Self {
         config.validate();
-        let predictors = (0..num_vms)
-            .map(|_| Predictor::new(config.predictor()))
-            .collect();
+        let predictors = PredictorBank::new(config.predictor(), num_vms);
         let gate = HysteresisGate::new(config.min_on_time(), config.min_off_time(), num_hosts);
         let profile = config
             .prewake_lookahead()
@@ -147,11 +146,10 @@ impl VirtManager {
         }
     }
 
-    /// Sets the worker-thread count for the sharded planning paths (the
-    /// per-VM prediction fill and the consolidation candidate scan). `1`
-    /// (the default) keeps planning fully serial; any count produces
-    /// bit-identical plans — shard boundaries are fixed and every
-    /// floating-point reduction stays on the calling thread in index
+    /// Sets the worker-thread count for the sharded consolidation
+    /// candidate scan. `1` (the default) keeps planning fully serial; any
+    /// count produces bit-identical plans — shard boundaries are fixed and
+    /// every floating-point reduction stays on the calling thread in index
     /// order.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -227,7 +225,8 @@ impl VirtManager {
     }
 
     /// Runs one management round, recording each planning step as a
-    /// child span of the caller's current span (`rescore`,
+    /// child span of the caller's current span (`rescore` with its
+    /// `recovery`/`predict`/`ctx_rebuild`/`assess` children,
     /// `capacity_wake`, `overload`, `index_maintain`, `consolidate` with
     /// its `candidate_scan`/`trial`/`undo` subtree, `rebalance`, `park`).
     ///
@@ -248,6 +247,10 @@ impl VirtManager {
         self.stats.rounds += 1;
 
         let s_rescore = tracer.name("rescore");
+        let s_recovery = tracer.name("recovery");
+        let s_predict = tracer.name("predict");
+        let s_ctx_rebuild = tracer.name("ctx_rebuild");
+        let s_assess = tracer.name("assess");
         let s_wake = tracer.name("capacity_wake");
         let s_overload = tracer.name("overload");
         let s_index = tracer.name("index_maintain");
@@ -258,48 +261,20 @@ impl VirtManager {
 
         // Detect fresh transition failures before any planning: backoff,
         // quarantine, and the fleet fail-safe gate the steps below.
+        tracer.enter(s_recovery);
         self.recovery.observe(obs);
         let rstats = *self.recovery.stats();
         self.stats.failures_detected = rstats.failures_observed;
         self.stats.quarantines = rstats.quarantines;
         self.stats.failsafe_rounds = rstats.failsafe_rounds;
+        tracer.exit(s_recovery);
 
         // Feed the predictors and collect per-VM predictions into the
-        // reusable buffer. Each prediction only touches its own predictor
-        // and output slot, so the sharded fill is trivially identical to
-        // the serial one.
-        let n_vms = obs.vms.len();
-        if self.threads > 1 && n_vms > 1 {
-            self.predicted_buf.clear();
-            self.predicted_buf.resize(n_vms, 0.0);
-            let ranges = pool::shard_ranges(n_vms, self.threads);
-            let mut pred_it = pool::split_mut(&mut self.predictors, &ranges).into_iter();
-            let mut out_it = pool::split_mut(&mut self.predicted_buf, &ranges).into_iter();
-            let shards: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    (
-                        &obs.vms[r.clone()],
-                        pred_it.next().expect("one chunk per range"),
-                        out_it.next().expect("one chunk per range"),
-                    )
-                })
-                .collect();
-            pool::for_each_shard(self.threads, shards, |_, (vms, preds, out)| {
-                for ((vm, p), o) in vms.iter().zip(preds.iter_mut()).zip(out.iter_mut()) {
-                    p.observe(vm.cpu_demand);
-                    *o = p.predict().clamp(0.0, vm.cpu_cap);
-                }
-            });
-        } else {
-            self.predicted_buf.clear();
-            let predictors = &mut self.predictors;
-            self.predicted_buf
-                .extend(obs.vms.iter().zip(predictors).map(|(vm, p)| {
-                    p.observe(vm.cpu_demand);
-                    p.predict().clamp(0.0, vm.cpu_cap)
-                }));
-        }
+        // reusable buffer.
+        tracer.enter(s_predict);
+        self.predictors
+            .observe_predict(&obs.vms, &mut self.predicted_buf);
+        tracer.exit(s_predict);
 
         // Feed the time-of-day profile (proactive pre-waking).
         if let Some(profile) = &mut self.profile {
@@ -314,8 +289,10 @@ impl VirtManager {
             return Vec::new();
         }
 
+        tracer.enter(s_ctx_rebuild);
         let mut ctx = std::mem::take(&mut self.ctx);
         ctx.rebuild(obs, &self.predicted_buf, &self.draining);
+        tracer.exit(s_ctx_rebuild);
 
         // Recovery gating: a quarantined host must not keep draining (its
         // power-down would never be issued), and a tripped fail-safe
@@ -334,6 +311,7 @@ impl VirtManager {
 
         // Snapshot the planner's view before any step mutates it — the
         // decision record explains this round from these inputs.
+        tracer.enter(s_assess);
         let predicted_demand = ctx.total_predicted();
         let overloaded_hosts = (0..ctx.num_hosts())
             .filter(|&h| ctx.operational[h] && ctx.util(h) > self.config.overload_threshold())
@@ -349,6 +327,7 @@ impl VirtManager {
             .filter(|&h| ctx.operational[h] && !ctx.draining[h])
             .count();
         let capacity = self.assess_capacity(&ctx, obs);
+        tracer.exit(s_assess);
         tracer.exit(s_rescore);
 
         // Attribute each action to the step that produced it by tracking
@@ -1101,5 +1080,82 @@ mod tests {
         let mut mgr = VirtManager::new(agile_config(), 3, 2);
         let o = obs(SimTime::ZERO, &[(PowerState::On, &[1.0, 0.5])]);
         mgr.plan(&o);
+    }
+
+    /// The context a real planning round leaves behind — trial moves,
+    /// rollbacks, drains — must rebuild incrementally into exactly the
+    /// view a fresh build produces, round after round, at 1024 hosts.
+    #[test]
+    fn incremental_context_rebuild_matches_fresh_build_after_planning() {
+        use crate::plan::assert_same_view;
+        use simcore::RngStream;
+
+        let (hosts, vms) = (1024usize, 6144usize);
+        let mut rng = RngStream::new(0xC7C7);
+        let mut world: Vec<Option<usize>> = (0..vms).map(|i| Some(i % hosts)).collect();
+        let mut mgr = VirtManager::new(agile_config(), hosts, vms);
+        let mut now = SimTime::ZERO;
+        for _ in 0..6 {
+            let mut demand = vec![0.0; hosts];
+            let vm_obs: Vec<VmObservation> = (0..vms)
+                .map(|i| {
+                    let d = rng.uniform(0.0, 1.5);
+                    if let Some(h) = world[i] {
+                        demand[h] += d;
+                    }
+                    VmObservation {
+                        id: VmId(i as u32),
+                        host: world[i].map(|h| HostId(h as u32)),
+                        cpu_demand: d,
+                        cpu_cap: 8.0,
+                        mem_gb: 8.0,
+                        migrating: false,
+                        service_class: Default::default(),
+                    }
+                })
+                .collect();
+            let mut mem = vec![0.0; hosts];
+            for h in world.iter().flatten() {
+                mem[*h] += 8.0;
+            }
+            let o = ClusterObservation {
+                now,
+                hosts: (0..hosts)
+                    .map(|h| HostObservation {
+                        id: HostId(h as u32),
+                        state: PowerState::On,
+                        pending: None,
+                        cpu_capacity: 8.0,
+                        mem_capacity: 64.0,
+                        mem_committed: mem[h],
+                        cpu_demand: demand[h],
+                        evacuated: mem[h] == 0.0,
+                        failed_transitions: 0,
+                        ladder: Default::default(),
+                    })
+                    .collect(),
+                vms: vm_obs,
+            };
+            // The round's own rebuild already ran incrementally; replay
+            // the next rebuild on a copy of the context it left behind.
+            let preds: Vec<f64> = o.vms.iter().map(|v| v.cpu_demand).collect();
+            let mut incremental = mgr.ctx.clone();
+            incremental.rebuild(&o, &preds, &mgr.draining);
+            assert_same_view(
+                &incremental,
+                &PlanContext::new(&o, preds.clone(), &mgr.draining),
+            );
+            // Execute the plan's migrations instantly for the next round.
+            for a in mgr.plan(&o) {
+                if let ManagementAction::Migrate { vm, to } = a {
+                    world[vm.index()] = Some(to.index());
+                }
+            }
+            assert!(
+                mgr.stats().migrations_requested > 0,
+                "planning must move VMs"
+            );
+            now += SimDuration::from_mins(5);
+        }
     }
 }

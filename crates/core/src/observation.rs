@@ -44,8 +44,8 @@ pub struct HostObservation {
 
 impl Default for HostObservation {
     /// A zero-capacity placeholder (`Off`, id 0) — the pre-fill value of
-    /// reusable observation buffers; the sharded observation fill
-    /// overwrites every slot before the manager sees it.
+    /// reusable observation buffers, which the simulator's observation
+    /// fill completes before the manager sees them.
     fn default() -> Self {
         HostObservation {
             id: HostId(0),
@@ -114,8 +114,8 @@ pub struct VmObservation {
 
 impl Default for VmObservation {
     /// An unplaced, idle placeholder (id 0) — the pre-fill value of
-    /// reusable observation buffers; the sharded observation fill
-    /// overwrites every slot before the manager sees it.
+    /// reusable observation buffers, which the simulator's observation
+    /// fill completes before the manager sees them.
     fn default() -> Self {
         VmObservation {
             id: VmId(0),

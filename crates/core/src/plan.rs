@@ -18,11 +18,17 @@ use crate::{
 /// committed drain.
 const OVERLAY_FOLD_LIMIT: usize = 128;
 
+/// `PlanContext::obs_host` code for an unplaced VM.
+const NO_HOST: u32 = u32::MAX;
+
 /// Mutable planning view of the cluster for one round.
 ///
 /// The manager owns one instance and [`rebuild`](Self::rebuild)s it each
-/// round, so the ~13 vectors below keep their allocations across rounds
-/// and steady-state planning allocates nothing.
+/// round, so the vectors below keep their allocations across rounds and
+/// steady-state planning allocates nothing. The static columns (host
+/// capacities, VM footprints and classes) are filled on the first
+/// rebuild only, and `vms_by_host` is repaired only on hosts whose list
+/// changed since the last rebuild.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanContext {
     /// Predicted demand per VM, cores.
@@ -69,6 +75,24 @@ pub(crate) struct PlanContext {
     /// Index-maintenance op-counters, accumulated across rounds like
     /// [`Self::work`].
     pub index_work: IndexWorkCounters,
+    /// Each VM's host in the last rebuild's observation (`NO_HOST` when
+    /// unplaced): what `vms_by_host` lists once repaired.
+    obs_host: Vec<u32>,
+    /// Hosts whose `vms_by_host` list changed since the last rebuild,
+    /// through a tentative move or an observed host change.
+    list_dirty: Vec<bool>,
+    dirty_hosts: Vec<usize>,
+    /// `(host, vm)` pairs that may belong on a dirty host's list but are
+    /// missing from it: move sources and observed arrivals.
+    list_candidates: Vec<(usize, usize)>,
+}
+
+/// Flags `host`'s VM list for repair at the next rebuild.
+fn mark_list_dirty(list_dirty: &mut [bool], dirty_hosts: &mut Vec<usize>, host: usize) {
+    if !list_dirty[host] {
+        list_dirty[host] = true;
+        dirty_hosts.push(host);
+    }
 }
 
 /// Lexicographic minimum over `(utilization, host index)` — exactly
@@ -109,52 +133,59 @@ impl PlanContext {
 
     /// Refills the context in place from this round's observation,
     /// reusing every vector's allocation from the previous round.
+    ///
+    /// The result equals a from-scratch build, `vms_by_host` included
+    /// (each host's VMs in ascending order), provided host capacities and
+    /// VM footprints and classes are the ones the first rebuild saw.
     pub fn rebuild(&mut self, obs: &ClusterObservation, predicted_vm: &[f64], draining: &[bool]) {
         let nh = obs.hosts.len();
+        let nv = obs.vms.len();
         assert_eq!(draining.len(), nh, "drain set length mismatch");
-        assert_eq!(
-            predicted_vm.len(),
-            obs.vms.len(),
-            "prediction length mismatch"
+        assert_eq!(predicted_vm.len(), nv, "prediction length mismatch");
+        if self.cpu_capacity.len() != nh || self.vm_mem.len() != nv {
+            self.fill_static(obs);
+        }
+        debug_assert!(
+            self.static_columns_match(obs),
+            "static observation fields changed"
         );
 
         self.predicted_vm.clear();
         self.predicted_vm.extend_from_slice(predicted_vm);
 
-        // Keep inner per-host Vec allocations alive across rounds.
-        self.vms_by_host.truncate(nh);
-        for v in &mut self.vms_by_host {
-            v.clear();
-        }
-        self.vms_by_host.resize_with(nh, Vec::new);
-
+        // One pass over the VMs: tentative hosts, migration flags, host
+        // predicted demand (the sum of its VMs' predictions, added in VM
+        // order; migration tax is transient, plans are made on VM
+        // demand), and the host changes that dirty a VM list.
         self.vm_host.clear();
-        for (i, vm) in obs.vms.iter().enumerate() {
-            let h = vm.host.map(|h| h.index());
-            if let Some(h) = h {
-                self.vms_by_host[h].push(i);
-            }
-            self.vm_host.push(h);
-        }
-        // Host predicted demand = sum of its VMs' predictions (migration
-        // tax is transient; plans are made on VM demand).
+        self.migrating_vm.clear();
         self.host_pred_cpu.clear();
         self.host_pred_cpu.resize(nh, 0.0);
-        for (i, &h) in self.vm_host.iter().enumerate() {
+        for (i, vm) in obs.vms.iter().enumerate() {
+            let h = vm.host.map(|h| h.index());
+            let code = h.map_or(NO_HOST, |h| h as u32);
+            let seen = self.obs_host[i];
+            if code != seen {
+                if seen != NO_HOST {
+                    mark_list_dirty(&mut self.list_dirty, &mut self.dirty_hosts, seen as usize);
+                }
+                if let Some(h) = h {
+                    mark_list_dirty(&mut self.list_dirty, &mut self.dirty_hosts, h);
+                    self.list_candidates.push((h, i));
+                }
+                self.obs_host[i] = code;
+            }
             if let Some(h) = h {
                 self.host_pred_cpu[h] += predicted_vm[i];
             }
+            self.vm_host.push(h);
+            self.migrating_vm.push(vm.migrating);
         }
+        self.repair_lists();
 
         self.mem_committed.clear();
         self.mem_committed
             .extend(obs.hosts.iter().map(|h| h.mem_committed));
-        self.cpu_capacity.clear();
-        self.cpu_capacity
-            .extend(obs.hosts.iter().map(|h| h.cpu_capacity));
-        self.mem_capacity.clear();
-        self.mem_capacity
-            .extend(obs.hosts.iter().map(|h| h.mem_capacity));
         self.operational.clear();
         self.operational
             .extend(obs.hosts.iter().map(|h| h.is_operational()));
@@ -166,9 +197,22 @@ impl PlanContext {
         );
         self.draining.clear();
         self.draining.extend_from_slice(draining);
-        self.migrating_vm.clear();
-        self.migrating_vm
-            .extend(obs.vms.iter().map(|v| v.migrating));
+        self.total_predicted_cache = self.predicted_vm.iter().sum();
+        // Fresh predictions: whatever the bucket index held last round no
+        // longer describes the fleet. The per-round refresh revalidates.
+        self.index.valid = false;
+    }
+
+    /// Fills the columns that never change for a fleet and builds every
+    /// VM list from scratch.
+    fn fill_static(&mut self, obs: &ClusterObservation) {
+        let nh = obs.hosts.len();
+        self.cpu_capacity.clear();
+        self.cpu_capacity
+            .extend(obs.hosts.iter().map(|h| h.cpu_capacity));
+        self.mem_capacity.clear();
+        self.mem_capacity
+            .extend(obs.hosts.iter().map(|h| h.mem_capacity));
         self.vm_mem.clear();
         self.vm_mem.extend(obs.vms.iter().map(|v| v.mem_gb));
         self.vm_batch.clear();
@@ -177,10 +221,58 @@ impl PlanContext {
                 .iter()
                 .map(|v| v.service_class == ServiceClass::Batch),
         );
-        self.total_predicted_cache = self.predicted_vm.iter().sum();
-        // Fresh predictions: whatever the bucket index held last round no
-        // longer describes the fleet. The per-round refresh revalidates.
-        self.index.valid = false;
+        self.vms_by_host.truncate(nh);
+        for v in &mut self.vms_by_host {
+            v.clear();
+        }
+        self.vms_by_host.resize_with(nh, Vec::new);
+        self.obs_host.clear();
+        for (i, vm) in obs.vms.iter().enumerate() {
+            if let Some(h) = vm.host {
+                self.vms_by_host[h.index()].push(i);
+            }
+            self.obs_host
+                .push(vm.host.map_or(NO_HOST, |h| h.index() as u32));
+        }
+        self.list_dirty.clear();
+        self.list_dirty.resize(nh, false);
+        self.dirty_hosts.clear();
+        self.list_candidates.clear();
+    }
+
+    /// Whether the static columns still describe `obs`.
+    fn static_columns_match(&self, obs: &ClusterObservation) -> bool {
+        obs.hosts.iter().enumerate().all(|(h, o)| {
+            self.cpu_capacity[h] == o.cpu_capacity && self.mem_capacity[h] == o.mem_capacity
+        }) && obs.vms.iter().enumerate().all(|(i, v)| {
+            self.vm_mem[i] == v.mem_gb
+                && self.vm_batch[i] == (v.service_class == ServiceClass::Batch)
+        })
+    }
+
+    /// Brings every dirty host's VM list back to the ascending list of
+    /// VMs observed on it. A VM can only be missing from such a list if
+    /// a tentative move took it off (its source was recorded) or it was
+    /// just observed arriving (recorded in the VM pass), so only the
+    /// dirty lists and the candidates are touched.
+    fn repair_lists(&mut self) {
+        let obs_host = &self.obs_host;
+        for &h in &self.dirty_hosts {
+            self.vms_by_host[h].retain(|&v| obs_host[v] == h as u32);
+        }
+        for &(h, v) in &self.list_candidates {
+            if obs_host[v] == h as u32 {
+                self.vms_by_host[h].push(v);
+            }
+        }
+        for &h in &self.dirty_hosts {
+            let list = &mut self.vms_by_host[h];
+            list.sort_unstable();
+            list.dedup();
+            self.list_dirty[h] = false;
+        }
+        self.dirty_hosts.clear();
+        self.list_candidates.clear();
     }
 
     /// Rebuilds the utilization-bucket index and capacity aggregates for
@@ -365,6 +457,11 @@ impl PlanContext {
         self.mem_committed[to] += self.vm_mem[vm];
         self.vms_by_host[from].retain(|&v| v != vm);
         self.vms_by_host[to].push(vm);
+        // Tentative: the next rebuild restores both lists to what it
+        // observes, which may put `vm` back on `from`.
+        mark_list_dirty(&mut self.list_dirty, &mut self.dirty_hosts, from);
+        mark_list_dirty(&mut self.list_dirty, &mut self.dirty_hosts, to);
+        self.list_candidates.push((from, vm));
         self.vm_host[vm] = Some(to);
         self.migrating_vm[vm] = true; // one move per VM per round
                                       // Both endpoints' utilizations changed; their stored buckets are
@@ -610,13 +707,60 @@ impl PlanContext {
     }
 }
 
+/// Asserts that two contexts hold the same per-round view bit for bit:
+/// every column a planning step reads, `vms_by_host` order included.
+#[cfg(test)]
+pub(crate) fn assert_same_view(got: &PlanContext, want: &PlanContext) {
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+    assert_eq!(
+        bits(&got.predicted_vm),
+        bits(&want.predicted_vm),
+        "predicted_vm"
+    );
+    assert_eq!(
+        bits(&got.host_pred_cpu),
+        bits(&want.host_pred_cpu),
+        "host_pred_cpu"
+    );
+    assert_eq!(
+        bits(&got.mem_committed),
+        bits(&want.mem_committed),
+        "mem_committed"
+    );
+    assert_eq!(
+        bits(&got.cpu_capacity),
+        bits(&want.cpu_capacity),
+        "cpu_capacity"
+    );
+    assert_eq!(
+        bits(&got.mem_capacity),
+        bits(&want.mem_capacity),
+        "mem_capacity"
+    );
+    assert_eq!(bits(&got.vm_mem), bits(&want.vm_mem), "vm_mem");
+    assert_eq!(got.operational, want.operational, "operational");
+    assert_eq!(got.arriving, want.arriving, "arriving");
+    assert_eq!(got.draining, want.draining, "draining");
+    assert_eq!(got.migrating_vm, want.migrating_vm, "migrating_vm");
+    assert_eq!(got.vm_host, want.vm_host, "vm_host");
+    assert_eq!(got.vm_batch, want.vm_batch, "vm_batch");
+    assert_eq!(got.vms_by_host, want.vms_by_host, "vms_by_host");
+    assert_eq!(
+        got.total_predicted().to_bits(),
+        want.total_predicted().to_bits(),
+        "total_predicted"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{HostObservation, PowerPolicy, VmObservation};
-    use cluster::{HostId, VmId};
+    use cluster::{HostId, ServiceClass, VmId};
     use power::PowerState;
-    use simcore::SimTime;
+    use simcore::{RngStream, SimTime};
 
     fn obs2() -> ClusterObservation {
         let host = |id: u32, state: PowerState, mem_committed: f64| HostObservation {
@@ -719,5 +863,95 @@ mod tests {
         let cfg = cfg();
         assert_eq!(ctx.least_loaded_destination(0, &cfg), Some(2));
         assert_eq!(ctx.tightest_destination(0, &cfg), Some(1));
+    }
+
+    /// A random fleet: `hosts` hosts (a few parked), `vms` VMs on random
+    /// hosts (a few unplaced or migrating), random demands.
+    fn random_obs(rng: &mut RngStream, hosts: usize, vms: usize) -> ClusterObservation {
+        let states = [
+            PowerState::On,
+            PowerState::On,
+            PowerState::On,
+            PowerState::Suspended,
+        ];
+        ClusterObservation {
+            now: SimTime::ZERO,
+            hosts: (0..hosts)
+                .map(|h| HostObservation {
+                    id: HostId(h as u32),
+                    state: states[rng.below(4) as usize],
+                    cpu_capacity: if h % 3 == 0 { 8.0 } else { 16.0 },
+                    mem_capacity: 128.0,
+                    mem_committed: rng.uniform(0.0, 128.0),
+                    ..HostObservation::default()
+                })
+                .collect(),
+            vms: (0..vms)
+                .map(|i| VmObservation {
+                    id: VmId(i as u32),
+                    host: (!rng.chance(0.02)).then(|| HostId(rng.below(hosts as u64) as u32)),
+                    cpu_demand: rng.uniform(0.0, 2.0),
+                    cpu_cap: 2.0,
+                    mem_gb: [2.0, 4.0, 8.0][i % 3],
+                    migrating: rng.chance(0.05),
+                    service_class: if i % 5 == 0 {
+                        ServiceClass::Batch
+                    } else {
+                        ServiceClass::Interactive
+                    },
+                })
+                .collect(),
+        }
+    }
+
+    /// Next round's world: some VMs land on new hosts (completed
+    /// migrations, arrivals) or leave (departures), flags, demands and
+    /// host states churn.
+    fn evolve(rng: &mut RngStream, obs: &mut ClusterObservation) {
+        let hosts = obs.hosts.len() as u64;
+        for vm in &mut obs.vms {
+            if rng.chance(0.03) {
+                vm.host = (!rng.chance(0.1)).then(|| HostId(rng.below(hosts) as u32));
+            }
+            vm.migrating = rng.chance(0.05);
+            vm.cpu_demand = rng.uniform(0.0, 2.0);
+        }
+        for h in &mut obs.hosts {
+            if rng.chance(0.05) {
+                h.state = if h.state == PowerState::On {
+                    PowerState::Resuming
+                } else {
+                    PowerState::On
+                };
+            }
+            h.mem_committed = rng.uniform(0.0, 128.0);
+        }
+    }
+
+    #[test]
+    fn incremental_rebuild_equals_fresh_build_after_random_moves() {
+        let (hosts, vms) = (1024, 6144);
+        let mut rng = RngStream::new(0x9A11);
+        let mut obs = random_obs(&mut rng, hosts, vms);
+        let mut ctx = PlanContext::default();
+        for round in 0..12 {
+            let predicted: Vec<f64> = obs.vms.iter().map(|v| v.cpu_demand).collect();
+            let draining: Vec<bool> = (0..hosts).map(|_| rng.chance(0.1)).collect();
+            ctx.rebuild(&obs, &predicted, &draining);
+            assert_same_view(&ctx, &PlanContext::new(&obs, predicted.clone(), &draining));
+            // A random tentative-move sequence, as overload mitigation,
+            // consolidation and rebalancing would plan it; some rounds
+            // move hundreds of VMs, some none.
+            let moves = [0, 3, 40, 400][round % 4];
+            for _ in 0..moves {
+                let vm = rng.below(vms as u64) as usize;
+                let to = rng.below(hosts as u64) as usize;
+                if ctx.migrating_vm[vm] || ctx.vm_host[vm].is_none_or(|h| h == to) {
+                    continue;
+                }
+                ctx.move_vm(vm, to);
+            }
+            evolve(&mut rng, &mut obs);
+        }
     }
 }

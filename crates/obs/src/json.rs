@@ -22,6 +22,9 @@ pub enum Json {
     Bool(bool),
     /// A number without fractional part that fits `i64`.
     Int(i64),
+    /// An integer above `i64::MAX` (smaller ones are [`Json::Int`]);
+    /// [`Json::uint`] picks the variant.
+    UInt(u64),
     /// Any other number.
     Num(f64),
     /// A string.
@@ -66,10 +69,17 @@ impl Json {
         }
     }
 
-    /// The value as `f64` (accepting both number variants).
+    /// An unsigned integer, exactly: [`Json::Int`] when it fits `i64`,
+    /// [`Json::UInt`] above that.
+    pub fn uint(value: u64) -> Json {
+        i64::try_from(value).map_or(Json::UInt(value), Json::Int)
+    }
+
+    /// The value as `f64` (accepting every number variant).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::UInt(u) => Some(*u as f64),
             Json::Num(x) => Some(*x),
             _ => None,
         }
@@ -86,7 +96,10 @@ impl Json {
 
     /// The value as `u64` (non-negative integers).
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|i| u64::try_from(i).ok())
+        match self {
+            Json::UInt(u) => Some(*u),
+            _ => self.as_i64().and_then(|i| u64::try_from(i).ok()),
+        }
     }
 
     /// The value as `&str`.
@@ -189,7 +202,7 @@ impl ToJson for f64 {
 
 impl ToJson for u64 {
     fn to_json(&self) -> Json {
-        Json::Int(*self as i64)
+        Json::uint(*self)
     }
 }
 
@@ -201,7 +214,7 @@ impl ToJson for i64 {
 
 impl ToJson for usize {
     fn to_json(&self) -> Json {
-        Json::Int(*self as i64)
+        Json::uint(*self as u64)
     }
 }
 
@@ -244,6 +257,7 @@ fn write_value(value: &Json, out: &mut String) {
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
         Json::Int(i) => out.push_str(&i.to_string()),
+        Json::UInt(u) => out.push_str(&u.to_string()),
         Json::Num(x) => write_number(*x, out),
         Json::Str(s) => write_string(s, out),
         Json::Array(items) => {
@@ -410,6 +424,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         if let Ok(i) = text.parse::<i64>() {
             return Ok(Json::Int(i));
         }
+        if let Ok(u) = text.parse::<u64>() {
+            return Ok(Json::UInt(u));
+        }
     }
     text.parse::<f64>()
         .map(Json::Num)
@@ -572,6 +589,20 @@ mod tests {
         let v = Json::Int(i64::MAX);
         let back = Json::parse(&v.to_string_compact()).unwrap();
         assert_eq!(back.as_i64(), Some(i64::MAX));
+    }
+
+    #[test]
+    fn unsigned_integers_above_i64_stay_exact() {
+        for u in [i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let v = Json::uint(u);
+            let text = v.to_string_compact();
+            assert_eq!(text, u.to_string());
+            let back = Json::parse(&text).unwrap();
+            assert_eq!(back, v);
+            assert_eq!(back.as_u64(), Some(u));
+        }
+        assert_eq!(Json::uint(7), Json::Int(7));
+        assert_eq!(Json::UInt(u64::MAX).as_i64(), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use agile_core::{
 use cluster::{AccountingMode, Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
 use simcore::{pool, EventQueue, SimDuration, SimTime};
-use workload::DemandTrace;
+use workload::DemandTable;
 
 use crate::events::{EventKind, EventRecord};
 use crate::metrics::MetricsCollector;
@@ -88,7 +88,7 @@ impl PlacementFacts for ClusterFacts<'_> {
     }
 
     fn is_migrating(&self, vm: VmId) -> bool {
-        self.cluster.migration_of(vm).is_some()
+        self.cluster.is_migrating(vm)
     }
 
     fn vm_mem_gb(&self, vm: VmId) -> f64 {
@@ -171,7 +171,8 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
 #[derive(Debug)]
 pub struct DatacenterSim {
     cluster: Cluster,
-    traces: Vec<DemandTrace>,
+    /// Every VM's demand fraction, sample-major (one row per trace step).
+    demand: DemandTable,
     vm_caps: Vec<f64>,
     manager: Option<VirtManager>,
     /// The distributed control plane, when enabled via
@@ -221,10 +222,10 @@ pub struct DatacenterSim {
     s_migration: SpanName,
     s_power: SpanName,
     peak_queue_len: usize,
-    /// Worker-thread count for the sharded per-tick paths (demand fill,
-    /// demand serve, power scan, observation fill, candidate scoring).
-    /// `1` keeps every computation on the calling thread via the original
-    /// serial code; any count yields bit-identical reports.
+    /// Worker-thread count for the sharded per-tick paths (the cluster's
+    /// demand serve and power scan, the planner's consolidation candidate
+    /// scan). `1` keeps every computation on the calling thread; any
+    /// count yields bit-identical reports.
     threads: usize,
     /// Reusable per-tick buffers: the demand vector, the demand outcome,
     /// and the manager observation. Steady-state ticks allocate nothing
@@ -291,7 +292,7 @@ impl DatacenterSim {
         let num_hosts = cluster.num_hosts();
         Ok(DatacenterSim {
             cluster,
-            traces: scenario.fleet().traces().to_vec(),
+            demand: DemandTable::build(scenario.fleet().traces(), horizon),
             vm_caps: scenario
                 .fleet()
                 .vm_specs()
@@ -397,7 +398,7 @@ impl DatacenterSim {
 
     /// Sets the worker-thread count for the deterministic sharded tick
     /// engine and forwards it to the cluster's demand/power paths and the
-    /// manager's prediction/consolidation scoring. `1` (the default) is
+    /// manager's consolidation scoring. `1` (the default) is
     /// the original serial engine; any count produces a bit-identical
     /// [`SimReport`], because shard boundaries are a pure function of the
     /// fleet size and every floating-point reduction stays on the calling
@@ -820,52 +821,11 @@ impl DatacenterSim {
     }
 
     fn control_tick(&mut self, now: SimTime, end: SimTime) {
-        // 1. Demand update, through the reusable tick buffers.
+        // 1. Demand update: one pass over this tick's table row fills the
+        // demand vector, which the observation below reads back.
         self.tracer.enter(self.s_demand);
-        let traces = &self.traces;
-        let lifetimes = &self.lifetimes;
-        let n_vms = traces.len();
-        if self.threads > 1 && n_vms > 1 {
-            // Sharded fill: each worker writes its own contiguous span of
-            // the demand vector; every element is computed by the same
-            // expression as the serial path, so the result is
-            // bit-identical.
-            self.demand_buf.clear();
-            self.demand_buf.resize(n_vms, 0.0);
-            let ranges = pool::shard_ranges(n_vms, self.threads);
-            let vm_caps = &self.vm_caps;
-            let shards: Vec<_> = pool::split_mut(&mut self.demand_buf, &ranges)
-                .into_iter()
-                .zip(ranges.iter())
-                .map(|(out, r)| (out, r.start))
-                .collect();
-            pool::for_each_shard(self.threads, shards, |_, (out, base)| {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let i = base + k;
-                    *slot = if lifetimes[i].is_active(now) {
-                        traces[i].at(now) * vm_caps[i]
-                    } else {
-                        0.0
-                    };
-                }
-            });
-        } else {
-            self.demand_buf.clear();
-            self.demand_buf
-                .extend(
-                    traces
-                        .iter()
-                        .zip(&self.vm_caps)
-                        .enumerate()
-                        .map(|(i, (trace, cap))| {
-                            if lifetimes[i].is_active(now) {
-                                trace.at(now) * cap
-                            } else {
-                                0.0
-                            }
-                        }),
-                );
-        }
+        self.demand
+            .fill_demand(now, &self.vm_caps, &self.lifetimes, &mut self.demand_buf);
         self.cluster
             .apply_demand_into(now, &self.demand_buf, &mut self.outcome_buf);
         self.collector
@@ -1119,127 +1079,52 @@ impl DatacenterSim {
         Ok(())
     }
 
-    /// Refills the reusable observation buffer from the cluster and the
-    /// tick's demand outcome — the zero-alloc replacement for collecting
-    /// fresh host/VM vectors every round.
+    /// Refills the reusable observation buffer from the cluster, the
+    /// tick's demand outcome, and the tick's demand vector — the
+    /// zero-alloc replacement for collecting fresh host/VM vectors every
+    /// round.
     ///
-    /// With `threads > 1` the fill is sharded: workers overwrite disjoint
-    /// contiguous spans of the host and VM observation vectors through a
-    /// [`cluster::ClusterShardView`] (the `Cluster` itself is not `Sync`).
-    /// Every slot is computed by the same per-element expressions as the
-    /// serial path, and no cross-element reduction happens here, so the
-    /// observation — and hence the whole run — is bit-identical.
+    /// Host capacities and ladders and VM caps, footprints and classes
+    /// never change during a run, so they are written on the first fill
+    /// only; every later fill rewrites just the fields that move.
     fn fill_observation(&self, now: SimTime, obs: &mut ClusterObservation) {
         obs.now = now;
-        if self.threads > 1 && (self.cluster.num_hosts() > 1 || self.cluster.num_vms() > 1) {
-            self.fill_observation_sharded(now, obs);
-            return;
-        }
-        obs.hosts.clear();
-        obs.hosts.extend(self.cluster.hosts().iter().map(|h| {
-            let i = h.id().index();
-            HostObservation {
+        let hosts = self.cluster.hosts();
+        let specs = self.cluster.vm_specs();
+        if obs.hosts.len() != hosts.len() || obs.vms.len() != specs.len() {
+            obs.hosts.clear();
+            obs.hosts.extend(hosts.iter().map(|h| HostObservation {
                 id: h.id(),
-                state: h.power_state(),
-                pending: h.power().pending().map(|(kind, _)| kind),
                 cpu_capacity: h.capacity().cpu_cores,
                 mem_capacity: h.capacity().mem_gb,
-                mem_committed: self.cluster.mem_committed_gb(h.id()),
-                cpu_demand: self.outcome_buf.host_demand_cores[i],
-                evacuated: self.cluster.is_evacuated(h.id()),
-                failed_transitions: h.power().failed_transitions(),
                 ladder: h.ladder(),
-            }
-        }));
-        obs.vms.clear();
-        obs.vms.extend((0..self.cluster.num_vms()).map(|i| {
-            let id = VmId(i as u32);
-            let spec = self.cluster.vm(id).expect("vm id in range");
-            let demand = if self.lifetimes[i].is_active(now) {
-                self.traces[i].at(now) * self.vm_caps[i]
-            } else {
-                0.0
-            };
-            VmObservation {
-                id,
-                host: self.cluster.placement().host_of(id),
-                cpu_demand: demand,
-                cpu_cap: spec.cpu_cap_cores(),
-                mem_gb: spec.mem_gb(),
-                migrating: self.cluster.migration_of(id).is_some(),
-                service_class: spec.service_class(),
-            }
-        }));
-    }
-
-    /// The sharded body of [`fill_observation`](Self::fill_observation).
-    fn fill_observation_sharded(&self, now: SimTime, obs: &mut ClusterObservation) {
-        let view = self.cluster.shard_view();
-        let host_demand = &self.outcome_buf.host_demand_cores;
-
-        let n_hosts = self.cluster.num_hosts();
-        obs.hosts.clear();
-        obs.hosts.resize_with(n_hosts, HostObservation::default);
-        let ranges = pool::shard_ranges(n_hosts, self.threads);
-        let shards: Vec<_> = pool::split_mut(&mut obs.hosts, &ranges)
-            .into_iter()
-            .zip(ranges.iter())
-            .map(|(out, r)| (out, r.start))
-            .collect();
-        pool::for_each_shard(self.threads, shards, |_, (out, base)| {
-            for (k, slot) in out.iter_mut().enumerate() {
-                let h = &view.hosts()[base + k];
-                let i = h.id().index();
-                *slot = HostObservation {
-                    id: h.id(),
-                    state: h.power_state(),
-                    pending: h.power().pending().map(|(kind, _)| kind),
-                    cpu_capacity: h.capacity().cpu_cores,
-                    mem_capacity: h.capacity().mem_gb,
-                    mem_committed: view.mem_committed_gb(h.id()),
-                    cpu_demand: host_demand[i],
-                    evacuated: view.is_evacuated(h.id()),
-                    failed_transitions: h.power().failed_transitions(),
-                    ladder: h.ladder(),
-                };
-            }
-        });
-
-        let n_vms = self.cluster.num_vms();
-        obs.vms.clear();
-        obs.vms.resize_with(n_vms, VmObservation::default);
-        let ranges = pool::shard_ranges(n_vms, self.threads);
-        // The closure must not capture `self` — the cluster's lazy caches
-        // make `DatacenterSim` non-`Sync` — so borrow the plain fields.
-        let lifetimes = &self.lifetimes;
-        let traces = &self.traces;
-        let vm_caps = &self.vm_caps;
-        let shards: Vec<_> = pool::split_mut(&mut obs.vms, &ranges)
-            .into_iter()
-            .zip(ranges.iter())
-            .map(|(out, r)| (out, r.start))
-            .collect();
-        pool::for_each_shard(self.threads, shards, |_, (out, base)| {
-            for (k, slot) in out.iter_mut().enumerate() {
-                let i = base + k;
-                let id = VmId(i as u32);
-                let spec = &view.vm_specs()[i];
-                let demand = if lifetimes[i].is_active(now) {
-                    traces[i].at(now) * vm_caps[i]
-                } else {
-                    0.0
-                };
-                *slot = VmObservation {
-                    id,
-                    host: view.host_of(id),
-                    cpu_demand: demand,
+                ..HostObservation::default()
+            }));
+            obs.vms.clear();
+            obs.vms
+                .extend(specs.iter().enumerate().map(|(i, spec)| VmObservation {
+                    id: VmId(i as u32),
                     cpu_cap: spec.cpu_cap_cores(),
                     mem_gb: spec.mem_gb(),
-                    migrating: view.is_migrating(id),
                     service_class: spec.service_class(),
-                };
-            }
-        });
+                    ..VmObservation::default()
+                }));
+        }
+        let host_demand = &self.outcome_buf.host_demand_cores;
+        for ((slot, h), &demand) in obs.hosts.iter_mut().zip(hosts).zip(host_demand) {
+            slot.state = h.power_state();
+            slot.pending = h.power().pending().map(|(kind, _)| kind);
+            slot.mem_committed = self.cluster.mem_committed_gb(h.id());
+            slot.cpu_demand = demand;
+            slot.evacuated = self.cluster.is_evacuated(h.id());
+            slot.failed_transitions = h.power().failed_transitions();
+        }
+        let placement = self.cluster.placement();
+        for (slot, &demand) in obs.vms.iter_mut().zip(&self.demand_buf) {
+            slot.host = placement.host_of(slot.id);
+            slot.cpu_demand = demand;
+            slot.migrating = self.cluster.is_migrating(slot.id);
+        }
     }
 }
 

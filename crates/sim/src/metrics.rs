@@ -350,7 +350,7 @@ impl SimReport {
         Json::obj([
             ("scenario", Json::Str(self.scenario.clone())),
             ("policy", Json::Str(self.policy.clone())),
-            ("seed", Json::Int(self.seed as i64)),
+            ("seed", Json::uint(self.seed)),
             ("horizon_millis", Json::Int(self.horizon.as_millis() as i64)),
             ("num_hosts", Json::Int(self.num_hosts as i64)),
             ("num_vms", Json::Int(self.num_vms as i64)),
@@ -663,6 +663,23 @@ mod tests {
         let text = r.to_json().to_string_compact();
         let back = SimReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r, "round-trip must preserve every sample");
+    }
+
+    #[test]
+    fn seeds_above_i64_survive_the_json_round_trip() {
+        // Regression: the seed was written as `seed as i64`, so a seed of
+        // 2^63 or more came back negative and failed to parse.
+        let cluster = one_host_cluster();
+        let mut c = MetricsCollector::new(SimDuration::from_mins(30));
+        c.record_tick(SimTime::ZERO, &outcome(2.0, 2.0), &cluster);
+        for seed in [1u64 << 63, u64::MAX] {
+            let mut r = finalize(c.clone());
+            r.seed = seed;
+            let text = r.to_json().to_string_compact();
+            assert!(text.contains(&format!("\"seed\":{seed}")), "{text}");
+            let back = SimReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, r);
+        }
     }
 
     #[test]

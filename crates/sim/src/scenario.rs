@@ -39,8 +39,8 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if there are no hosts, the fleet is empty, or `demand_step`
-    /// is zero. Use [`try_new`](Self::try_new) to get these as values
+    /// Panics if there are no hosts, the fleet is empty, `demand_step`
+    /// is zero, or a trace's step differs from `demand_step`. Use [`try_new`](Self::try_new) to get these as values
     /// instead.
     pub fn new(
         name: impl Into<String>,
@@ -62,7 +62,9 @@ impl Scenario {
     /// # Errors
     ///
     /// [`crate::SimError::InvalidConfig`] if there are no hosts, the
-    /// fleet is empty, or `demand_step` is zero.
+    /// fleet is empty, `demand_step` is zero, or any trace is sampled at
+    /// a step other than `demand_step` (the engine reads every VM's
+    /// demand from one sample-major table, one row per step).
     pub fn try_new(
         name: impl Into<String>,
         host_specs: Vec<HostSpec>,
@@ -81,6 +83,12 @@ impl Scenario {
         }
         if demand_step.is_zero() {
             return Err(invalid("demand step must be non-zero"));
+        }
+        if let Some(t) = fleet.traces().iter().find(|t| t.step() != demand_step) {
+            return Err(invalid(&format!(
+                "trace step {} differs from the demand step {demand_step}",
+                t.step()
+            )));
         }
         Ok(Scenario {
             name: name.into(),
@@ -305,6 +313,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("non-zero"), "{err}");
+        let err = Scenario::try_new(
+            "step-mismatch",
+            donor.host_specs().to_vec(),
+            donor.fleet().clone(),
+            SimDuration::from_mins(1),
+            1,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }));
+        assert!(
+            err.to_string().contains("differs from the demand step"),
+            "{err}"
+        );
         // The happy path matches the panicking constructor.
         let ok = Scenario::try_new(
             "ok",

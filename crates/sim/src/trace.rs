@@ -44,7 +44,7 @@ pub(crate) fn run_summary_json(
         ("record", Json::Str("run-summary".into())),
         ("scenario", Json::Str(report.scenario.clone())),
         ("policy", Json::Str(report.policy.clone())),
-        ("seed", Json::Int(report.seed as i64)),
+        ("seed", Json::uint(report.seed)),
         ("horizon_secs", Json::Num(report.horizon.as_secs_f64())),
         ("energy_kwh", Json::Num(report.energy_kwh())),
         ("unserved_ratio", Json::Num(report.unserved_ratio)),

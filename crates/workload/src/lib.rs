@@ -13,6 +13,8 @@
 //!   [`DemandTrace`] with a seeded RNG stream.
 //! * [`VmClass`] / [`FleetSpec`] — VM population generation: classes with
 //!   resource footprints and demand processes, mixed by weight.
+//! * [`DemandTable`] — a fleet's traces transposed sample-major, the
+//!   simulator's one-row-per-tick demand read path.
 //! * [`presets`] — the canonical fleets used by the experiment harness.
 //!
 //! # Example
@@ -37,10 +39,12 @@ pub mod io;
 mod lifetime;
 pub mod presets;
 mod stats;
+mod table;
 mod trace;
 
 pub use demand::{Ar1Noise, DemandProcess, Shape, SpikeProcess};
 pub use fleet::{Fleet, FleetSpec, VmClass};
 pub use lifetime::{Lifetime, LifetimePlan};
 pub use stats::TraceStats;
+pub use table::DemandTable;
 pub use trace::DemandTrace;

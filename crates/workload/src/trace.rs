@@ -7,6 +7,12 @@ use simcore::{SimDuration, SimTime};
 /// at a quarter of the dense footprint.
 const QUANT_SCALE: f64 = u16::MAX as f64;
 
+/// Decodes one quantized sample — the single expression every reader of
+/// the `u16` form uses, so all of them agree bit for bit.
+pub(crate) fn decode(q: u16) -> f64 {
+    q as f64 / QUANT_SCALE
+}
+
 /// Backing storage of a [`DemandTrace`].
 ///
 /// Dense `f64` samples are the default; large fleets can opt into the
@@ -30,7 +36,7 @@ impl Storage {
     fn get(&self, k: usize) -> f64 {
         match self {
             Storage::Dense(v) => v[k],
-            Storage::Quantized(v) => v[k] as f64 / QUANT_SCALE,
+            Storage::Quantized(v) => decode(v[k]),
         }
     }
 }
@@ -140,6 +146,22 @@ impl DemandTrace {
             Storage::Quantized(_) => {
                 panic!("samples() on a quantized trace; use sample(k) instead")
             }
+        }
+    }
+
+    /// The dense samples, or `None` for a quantized trace.
+    pub(crate) fn dense_samples(&self) -> Option<&[f64]> {
+        match &self.storage {
+            Storage::Dense(v) => Some(v),
+            Storage::Quantized(_) => None,
+        }
+    }
+
+    /// The raw fixed-point samples, or `None` for a dense trace.
+    pub(crate) fn quantized_samples(&self) -> Option<&[u16]> {
+        match &self.storage {
+            Storage::Dense(_) => None,
+            Storage::Quantized(v) => Some(v),
         }
     }
 

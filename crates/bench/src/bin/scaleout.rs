@@ -67,7 +67,6 @@ writes BENCH_scaleout.json.
   --check-baseline PATH fail (exit 1) if ticks/s at a size falls more than
                         30 % below the baseline file
   --repeat N            runs per size, best kept (N >= 1)          [default 3]
-  --threads N           worker threads (N >= 1)                    [default 1]
   --plan-mode M         scan | indexed                       [default indexed]
   --ladder              bench the C6/S3/S5 ladder under the joint-ladder policy
   --wake-slo SECS       joint-ladder wake SLO (SECS >= 1)         [default 12]
@@ -97,7 +96,6 @@ struct Options {
     out_path: String,
     baseline: Option<String>,
     repeat: usize,
-    threads: usize,
     plan_mode: PlanMode,
     ladder: bool,
     wake_slo_secs: u64,
@@ -112,8 +110,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Options>,
         out_path: String::from("BENCH_scaleout.json"),
         baseline: None,
         repeat: 3,
-        threads: 1,
-        plan_mode: PlanMode::Indexed,
+        plan_mode: PlanMode::default(),
         ladder: false,
         wake_slo_secs: 12,
         schedulers: 1,
@@ -137,7 +134,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Options>,
             "--out" => opts.out_path = value("a path")?,
             "--check-baseline" => opts.baseline = Some(value("a path")?),
             "--repeat" => opts.repeat = number(&arg, &value("a count")?, 1)?,
-            "--threads" => opts.threads = number(&arg, &value("a count")?, 1)?,
             "--plan-mode" => {
                 opts.plan_mode = match value("scan or indexed")?.as_str() {
                     "scan" => PlanMode::Scan,
@@ -190,7 +186,6 @@ fn main() -> ExitCode {
         out_path,
         baseline,
         repeat,
-        threads,
         plan_mode,
         ladder,
         wake_slo_secs,
@@ -214,7 +209,6 @@ fn main() -> ExitCode {
             hosts,
             hosts <= VERIFY_SCAN_MAX_HOSTS,
             repeat,
-            threads,
             plan_mode,
             ladder,
             policy,
@@ -241,7 +235,7 @@ fn main() -> ExitCode {
         rows.push(row);
     }
 
-    let json = render_json(&rows, threads, ladder, wake_slo_secs, schedulers, staleness);
+    let json = render_json(&rows, ladder, wake_slo_secs, schedulers, staleness);
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {out_path}");
 
@@ -258,7 +252,6 @@ fn measure(
     hosts: usize,
     verify_scan: bool,
     repeat: usize,
-    threads: usize,
     plan_mode: PlanMode,
     ladder: bool,
     policy: PowerPolicy,
@@ -272,16 +265,9 @@ fn measure(
         Scenario::datacenter(hosts, vms, bench::SEED)
     };
     let step = scenario.demand_step();
-    // `--schedulers`/`--staleness` route the run (and its scan
-    // reference) through the distributed control plane; at the defaults
-    // (1, 0) the direct global-planner path is benchmarked unchanged.
-    let plane = |exp: Experiment| {
-        if schedulers > 1 || staleness > 0 {
-            exp.schedulers(schedulers).view_staleness(staleness)
-        } else {
-            exp
-        }
-    };
+    // `--schedulers`/`--staleness` shape the control plane of the run
+    // and of its scan reference.
+    let plane = |exp: Experiment| exp.schedulers(schedulers).view_staleness(staleness);
     // Best-of-N: the minimum wall time is the least scheduler-noise-
     // polluted sample; every repeat is the same deterministic simulation,
     // so only timing varies.
@@ -294,7 +280,6 @@ fn measure(
         );
         let t0 = Instant::now();
         let out = SimulationBuilder::new(exp)
-            .threads(threads)
             .profiling(true)
             .build()
             .and_then(|sim| sim.run())
@@ -322,7 +307,6 @@ fn measure(
         );
         let t0 = Instant::now();
         let scan_report = SimulationBuilder::new(exp)
-            .threads(threads)
             .run_report()
             .expect("scan reference run failed");
         let scan_wall = t0.elapsed().as_secs_f64();
@@ -393,14 +377,13 @@ fn peak_rss_kb() -> u64 {
 
 fn render_json(
     rows: &[Row],
-    threads: usize,
     ladder: bool,
     wake_slo_secs: u64,
     schedulers: usize,
     staleness: usize,
 ) -> String {
     let mut out = format!(
-        "{{\n  \"threads\": {threads},\n  \"ladder\": {ladder},\n  \
+        "{{\n  \"ladder\": {ladder},\n  \
          \"wake_slo_secs\": {wake_slo_secs},\n  \"schedulers\": {schedulers},\n  \
          \"staleness\": {staleness},\n  \"before\": [\n"
     );

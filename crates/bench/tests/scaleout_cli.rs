@@ -33,7 +33,8 @@ fn misuse_exits_two_with_one_line() {
             &["--repeat", "0"],
             "--repeat needs a whole number of at least 1",
         ),
-        (&["--threads", "-1"], "--threads needs a whole number"),
+        (&["--threads", "2"], "unknown argument `--threads`"),
+        (&["--schedulers", "-1"], "--schedulers needs a whole number"),
         (
             &["--plan-mode", "fast"],
             "--plan-mode must be scan or indexed",

@@ -158,17 +158,16 @@ impl ExperimentSpec {
     /// The configured (not yet run) experiment.
     ///
     /// The planning mode defaults from the `AGILEPM_PLAN_MODE`
-    /// environment variable (`scan` or `indexed`; unset means `scan`) so
-    /// CI can re-run the whole property suite in indexed mode without a
-    /// second copy of every test. An explicit
-    /// [`Experiment::plan_mode`](dcsim::Experiment::plan_mode) call
-    /// appended by the test overrides the default, which keeps the
+    /// environment variable (`scan` or `indexed`; unset means
+    /// [`PlanMode::default()`]) so CI can re-run the whole property suite
+    /// against the scan oracle without a second copy of every test. An
+    /// explicit [`Experiment::plan_mode`](dcsim::Experiment::plan_mode)
+    /// call appended by the test overrides the default, which keeps the
     /// indexed-vs-scan differential pair meaningful on every matrix leg.
     ///
-    /// Likewise, `AGILEPM_SCHEDULERS` (unset means the classic direct
-    /// path) routes every generated run through the distributed control
-    /// plane with that many schedulers, clamped to the world's host
-    /// count so small shrunk worlds stay buildable.
+    /// Likewise, `AGILEPM_SCHEDULERS` (unset means one scheduler) plans
+    /// every generated run with that many schedulers, clamped to the
+    /// world's host count so small shrunk worlds stay buildable.
     pub fn experiment(&self) -> Experiment {
         let mut experiment = self.direct_experiment();
         if let Some(schedulers) = default_schedulers() {
@@ -178,8 +177,8 @@ impl ExperimentSpec {
     }
 
     /// The same experiment with the `AGILEPM_SCHEDULERS` routing left
-    /// off: always the classic direct (global-planner) path. The
-    /// control-plane differential uses this as its reference leg so the
+    /// off: always a single scheduler planning the whole fleet. The
+    /// control-plane properties use this as their reference leg so the
     /// comparison stays meaningful on every CI matrix leg.
     pub fn direct_experiment(&self) -> Experiment {
         Experiment::new(self.scenario.build())
@@ -190,8 +189,8 @@ impl ExperimentSpec {
     }
 }
 
-/// The plan mode selected by `AGILEPM_PLAN_MODE` (`scan`/`indexed`,
-/// default [`PlanMode::Scan`]).
+/// The plan mode selected by `AGILEPM_PLAN_MODE` (`scan`/`indexed`;
+/// unset means [`PlanMode::default()`]).
 ///
 /// # Panics
 ///
@@ -202,13 +201,13 @@ pub fn default_plan_mode() -> PlanMode {
         Ok(v) if v.eq_ignore_ascii_case("indexed") => PlanMode::Indexed,
         Ok(v) if v.eq_ignore_ascii_case("scan") => PlanMode::Scan,
         Ok(v) => panic!("AGILEPM_PLAN_MODE must be `scan` or `indexed`, got `{v}`"),
-        Err(_) => PlanMode::Scan,
+        Err(_) => PlanMode::default(),
     }
 }
 
 /// The scheduler count selected by `AGILEPM_SCHEDULERS`: `None` when
-/// unset (the classic direct path), `Some(n)` to route every generated
-/// run through the distributed control plane with `n` schedulers.
+/// unset (one scheduler), `Some(n)` to plan every generated run with
+/// `n` schedulers.
 ///
 /// # Panics
 ///

@@ -35,7 +35,6 @@ COMMON FLAGS (run, compare):
   --interval-mins N    management interval           [default 5]
   --workload KIND      diurnal | spiky | churn | ladder  [default diurnal]
   --churn F            transient VM fraction (workload churn) [default 0.3]
-  --threads N          worker threads for the sharded tick engine [default 1]
 
 run-ONLY FLAGS:
   --policy P           always-on | suspend | off | oracle | ladder[:SECS]
@@ -175,7 +174,6 @@ fn run(args: &[String]) -> CmdResult {
             "interval-mins",
             "workload",
             "churn",
-            "threads",
             "policy",
             "plan-mode",
             "schedulers",
@@ -189,7 +187,10 @@ fn run(args: &[String]) -> CmdResult {
         &["metrics", "profile"],
     )?;
     let policy = parse_policy(flags.str_or("policy", "suspend"))?;
-    let plan_mode = parse_plan_mode(flags.str_or("plan-mode", "indexed"))?;
+    let plan_mode = match flags.str_opt("plan-mode") {
+        Some(name) => parse_plan_mode(name)?,
+        None => PlanMode::default(),
+    };
     let scenario = build_scenario(&flags)?;
     let resume_fail = flags.f64_or("resume-fail", 0.0)?;
     let mut experiment = configure(&flags, scenario, policy)?.plan_mode(plan_mode);
@@ -212,14 +213,7 @@ fn run(args: &[String]) -> CmdResult {
     if let Some(path) = flags.str_opt("trace-out") {
         experiment = experiment.trace_path(path);
     }
-    let threads = flags.usize_or("threads", 1)?;
-    if threads == 0 {
-        return Err(Box::new(ArgError(
-            "`--threads` must be positive".to_string(),
-        )));
-    }
     let report = SimulationBuilder::new(experiment)
-        .threads(threads)
         .profiling(flags.switch("profile"))
         .run_report()?;
     print_summary(&report);
@@ -304,17 +298,10 @@ fn compare(args: &[String]) -> CmdResult {
             "interval-mins",
             "workload",
             "churn",
-            "threads",
         ],
         &[],
     )?;
     let scenario = build_scenario(&flags)?;
-    let threads = flags.usize_or("threads", 1)?;
-    if threads == 0 {
-        return Err(Box::new(ArgError(
-            "`--threads` must be positive".to_string(),
-        )));
-    }
     let mut reports = Vec::new();
     for policy in [
         PowerPolicy::always_on(),
@@ -323,11 +310,7 @@ fn compare(args: &[String]) -> CmdResult {
         PowerPolicy::oracle(),
     ] {
         let experiment = configure(&flags, scenario.clone(), policy)?;
-        reports.push(
-            SimulationBuilder::new(experiment)
-                .threads(threads)
-                .run_report()?,
-        );
+        reports.push(SimulationBuilder::new(experiment).run_report()?);
     }
     print!("{}", policy_comparison(&reports.iter().collect::<Vec<_>>()));
     Ok(())
@@ -779,23 +762,11 @@ mod tests {
     }
 
     #[test]
-    fn run_with_threads_flag() {
-        dispatch(&argv(&[
-            "run",
-            "--hosts",
-            "4",
-            "--vms",
-            "12",
-            "--hours",
-            "2",
-            "--threads",
-            "2",
-        ]))
-        .expect("sharded run succeeds");
-        assert!(
-            dispatch(&argv(&["run", "--hosts", "4", "--threads", "0"])).is_err(),
-            "zero threads must be rejected"
-        );
+    fn run_rejects_the_removed_threads_flag() {
+        let err = dispatch(&argv(&["run", "--hosts", "4", "--threads", "2"]))
+            .expect_err("`--threads` is not a flag");
+        let arg = err.downcast_ref::<ArgError>().expect("a usage error");
+        assert!(arg.0.contains("unknown flag `--threads`"), "{}", arg.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::cell::{Cell, RefCell};
 
 use power::{PowerState, TransitionKind};
-use simcore::{pairwise_sum, pool, SimTime, SumTree};
+use simcore::{pairwise_sum, SimTime, SumTree};
 
 use crate::{
     ClusterError, Host, HostId, HostSpec, Migration, MigrationModel, PlacementMap, Resources,
@@ -30,74 +30,13 @@ pub enum AccountingMode {
 }
 
 /// Reusable scratch for [`Cluster::apply_demand_into`]: the per-host
-/// interactive/batch demand splits, the migration-tax vector, and the
-/// per-host served/unserved contribution buffers the sharded serve path
-/// folds from. Owned by the cluster so steady-state ticks allocate
-/// nothing after the first.
+/// interactive/batch demand splits and the migration-tax vector. Owned by
+/// the cluster so steady-state ticks allocate nothing after the first.
 #[derive(Debug, Clone, Default)]
 struct DemandScratch {
     interactive: Vec<f64>,
     batch: Vec<f64>,
     tax: Vec<f64>,
-    /// Per-host served cores (sharded path only; 0 for non-operational).
-    served: Vec<f64>,
-    /// Per-host unserved cores (sharded path only).
-    unserved: Vec<f64>,
-    /// Per-host unserved interactive cores (sharded path only).
-    unserved_interactive: Vec<f64>,
-    /// Per-host unserved batch cores (sharded path only).
-    unserved_batch: Vec<f64>,
-}
-
-/// One shard's disjoint view of the serve loop's inputs and outputs, all
-/// slices covering the same contiguous host range.
-struct ServeShard<'a> {
-    hosts: &'a mut [Host],
-    tax: &'a [f64],
-    interactive: &'a [f64],
-    batch: &'a [f64],
-    utilization: &'a mut [f64],
-    demand: &'a mut [f64],
-    served: &'a mut [f64],
-    unserved: &'a mut [f64],
-    unserved_interactive: &'a mut [f64],
-    unserved_batch: &'a mut [f64],
-}
-
-/// Serves one shard of hosts: identical per-host arithmetic to the serial
-/// serve loop, but writing each host's served/unserved contributions into
-/// per-host buffers instead of folding them. The caller folds the buffers
-/// serially in host-index order, which replays the exact addend sequence
-/// of the serial loop (non-operational hosts contribute a `+0.0` served
-/// term, a bitwise no-op on the non-negative accumulator).
-fn serve_shard(now: SimTime, sh: ServeShard<'_>) {
-    for (i, host) in sh.hosts.iter_mut().enumerate() {
-        let cap = host.capacity().cpu_cores;
-        let demand = sh.tax[i] + sh.interactive[i] + sh.batch[i];
-        sh.demand[i] = demand;
-        if host.is_operational() {
-            let mut remaining = cap;
-            let served_tax = sh.tax[i].min(remaining);
-            remaining -= served_tax;
-            let served_interactive = sh.interactive[i].min(remaining);
-            remaining -= served_interactive;
-            let served_batch = sh.batch[i].min(remaining);
-
-            let s = served_tax + served_interactive + served_batch;
-            sh.served[i] = s;
-            sh.unserved[i] = demand - s;
-            sh.unserved_interactive[i] = sh.interactive[i] - served_interactive;
-            sh.unserved_batch[i] = sh.batch[i] - served_batch;
-            sh.utilization[i] = if cap > 0.0 { s / cap } else { 0.0 };
-            host.power_mut().set_utilization(now, sh.utilization[i]);
-        } else {
-            sh.served[i] = 0.0;
-            sh.unserved[i] = demand;
-            sh.unserved_interactive[i] = sh.interactive[i];
-            sh.unserved_batch[i] = sh.batch[i];
-            sh.utilization[i] = 0.0;
-        }
-    }
 }
 
 /// Clears and re-zeroes a scratch vector without shrinking its capacity.
@@ -177,11 +116,6 @@ pub struct Cluster {
     host_mem_committed: Vec<f64>,
     /// Reusable buffers for [`apply_demand_into`](Self::apply_demand_into).
     scratch: DemandScratch,
-    /// Worker threads for the sharded demand/power paths; `1` keeps the
-    /// original serial code paths.
-    threads: usize,
-    /// Reusable per-host power buffer for the sharded power scan.
-    power_scratch: RefCell<Vec<f64>>,
     /// Running count of in-flight migrations, maintained at
     /// [`begin_migration`](Self::begin_migration) /
     /// [`complete_migration`](Self::complete_migration) /
@@ -191,11 +125,11 @@ pub struct Cluster {
     /// Deterministic count of cache invalidations (dirty marks) at
     /// mutation sites. Counted where state *changes* — never at the
     /// read-and-clear revalidation sites, which fire on a mode-dependent
-    /// schedule — so the count is identical across accounting modes and
-    /// thread counts. The per-tick demand sweep charges one mark per
-    /// operational host (every such host's utilization is rewritten),
-    /// which makes `dirty_marks` an upper bound on how many hosts a
-    /// change-driven index may legitimately re-bucket.
+    /// schedule — so the count is identical across accounting modes. The
+    /// per-tick demand sweep charges one mark per operational host (every
+    /// such host's utilization is rewritten), which makes `dirty_marks` an
+    /// upper bound on how many hosts a change-driven index may
+    /// legitimately re-bucket.
     dirty_marks: u64,
 }
 
@@ -247,27 +181,9 @@ impl Cluster {
             on_count,
             host_mem_committed,
             scratch: DemandScratch::default(),
-            threads: 1,
-            power_scratch: RefCell::new(Vec::new()),
             in_flight_migrations: 0,
             dirty_marks: 0,
         }
-    }
-
-    /// Sets the worker-thread count for the sharded per-tick demand and
-    /// power computations. `1` (the default) keeps everything on the
-    /// calling thread via the original serial code paths. The requested
-    /// count is honored exactly (never capped by `available_parallelism`),
-    /// and every count produces bit-identical results: shard boundaries
-    /// are a pure function of the fleet size and all floating-point
-    /// reductions stay on the calling thread in host-index order.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker-thread count for sharded per-tick computation.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Switches between incremental and scan-based accounting. Both modes
@@ -894,81 +810,33 @@ impl Cluster {
         let host_demand = &mut out.host_demand_cores;
         reset_zeroed(utilization, n);
         reset_zeroed(host_demand, n);
-        if self.threads > 1 && n > 1 {
-            // Sharded serve path: workers compute each host's serve
-            // outcome into disjoint per-host buffers; the fold below adds
-            // the per-host contributions on this thread in host-index
-            // order, replaying the serial loop's exact addend sequence so
-            // the result is bit-identical at any thread count (the
-            // `+0.0` served term of a non-operational host is a bitwise
-            // no-op on the non-negative accumulator).
-            let served_c = &mut scratch.served;
-            let unserved_c = &mut scratch.unserved;
-            let unserved_int_c = &mut scratch.unserved_interactive;
-            let unserved_bat_c = &mut scratch.unserved_batch;
-            reset_zeroed(served_c, n);
-            reset_zeroed(unserved_c, n);
-            reset_zeroed(unserved_int_c, n);
-            reset_zeroed(unserved_bat_c, n);
-            let ranges = pool::shard_ranges(n, self.threads);
-            let mut hosts_it = pool::split_mut(&mut self.hosts, &ranges).into_iter();
-            let mut util_it = pool::split_mut(utilization, &ranges).into_iter();
-            let mut dem_it = pool::split_mut(host_demand, &ranges).into_iter();
-            let mut srv_it = pool::split_mut(served_c, &ranges).into_iter();
-            let mut uns_it = pool::split_mut(unserved_c, &ranges).into_iter();
-            let mut uni_it = pool::split_mut(unserved_int_c, &ranges).into_iter();
-            let mut unb_it = pool::split_mut(unserved_bat_c, &ranges).into_iter();
-            let shards: Vec<ServeShard<'_>> = ranges
-                .iter()
-                .map(|r| ServeShard {
-                    hosts: hosts_it.next().expect("one host chunk per range"),
-                    tax: &host_tax[r.clone()],
-                    interactive: &host_interactive[r.clone()],
-                    batch: &host_batch[r.clone()],
-                    utilization: util_it.next().expect("one chunk per range"),
-                    demand: dem_it.next().expect("one chunk per range"),
-                    served: srv_it.next().expect("one chunk per range"),
-                    unserved: uns_it.next().expect("one chunk per range"),
-                    unserved_interactive: uni_it.next().expect("one chunk per range"),
-                    unserved_batch: unb_it.next().expect("one chunk per range"),
-                })
-                .collect();
-            pool::for_each_shard(self.threads, shards, |_, sh| serve_shard(now, sh));
-            for i in 0..n {
-                served += served_c[i];
-                unserved += unserved_c[i];
-                unserved_interactive += unserved_int_c[i];
-                unserved_batch += unserved_bat_c[i];
-            }
-        } else {
-            for (i, host) in self.hosts.iter_mut().enumerate() {
-                let cap = host.capacity().cpu_cores;
-                let demand = host_tax[i] + host_interactive[i] + host_batch[i];
-                host_demand[i] = demand;
-                if host.is_operational() {
-                    let mut remaining = cap;
-                    let served_tax = host_tax[i].min(remaining);
-                    remaining -= served_tax;
-                    let served_interactive = host_interactive[i].min(remaining);
-                    remaining -= served_interactive;
-                    let served_batch = host_batch[i].min(remaining);
+        for (i, host) in self.hosts.iter_mut().enumerate() {
+            let cap = host.capacity().cpu_cores;
+            let demand = host_tax[i] + host_interactive[i] + host_batch[i];
+            host_demand[i] = demand;
+            if host.is_operational() {
+                let mut remaining = cap;
+                let served_tax = host_tax[i].min(remaining);
+                remaining -= served_tax;
+                let served_interactive = host_interactive[i].min(remaining);
+                remaining -= served_interactive;
+                let served_batch = host_batch[i].min(remaining);
 
-                    let s = served_tax + served_interactive + served_batch;
-                    served += s;
-                    unserved += demand - s;
-                    unserved_interactive += host_interactive[i] - served_interactive;
-                    unserved_batch += host_batch[i] - served_batch;
-                    utilization[i] = if cap > 0.0 { s / cap } else { 0.0 };
-                    host.power_mut().set_utilization(now, utilization[i]);
-                } else {
-                    // VMs must not sit on non-operational hosts (the
-                    // cluster enforces evacuation), but migration taxes
-                    // can reference an endpoint mid-transition; treat
-                    // that demand as lost.
-                    unserved += demand;
-                    unserved_interactive += host_interactive[i];
-                    unserved_batch += host_batch[i];
-                }
+                let s = served_tax + served_interactive + served_batch;
+                served += s;
+                unserved += demand - s;
+                unserved_interactive += host_interactive[i] - served_interactive;
+                unserved_batch += host_batch[i] - served_batch;
+                utilization[i] = if cap > 0.0 { s / cap } else { 0.0 };
+                host.power_mut().set_utilization(now, utilization[i]);
+            } else {
+                // VMs must not sit on non-operational hosts (the
+                // cluster enforces evacuation), but migration taxes
+                // can reference an endpoint mid-transition; treat
+                // that demand as lost.
+                unserved += demand;
+                unserved_interactive += host_interactive[i];
+                unserved_batch += host_batch[i];
             }
         }
         // Migration tax is overhead, not offered VM demand; keep the
@@ -1018,14 +886,9 @@ impl Cluster {
             AccountingMode::Incremental => {
                 if self.power_stale.get() {
                     let n = self.hosts.len();
-                    let mut tree = self.power_tree.borrow_mut();
-                    if self.threads > 1 && n > 1 {
-                        let buf = self.sharded_power_draws();
-                        tree.rebuild(n, |i| buf[i]);
-                    } else {
-                        tree.rebuild(n, |i| self.hosts[i].power().power_w());
-                    }
-                    drop(tree);
+                    self.power_tree
+                        .borrow_mut()
+                        .rebuild(n, |i| self.hosts[i].power().power_w());
                     self.power_stale.set(false);
                 }
                 let v = self.power_tree.borrow().root();
@@ -1042,45 +905,8 @@ impl Cluster {
     /// Scan-based reference for [`total_power_w`](Self::total_power_w):
     /// the fixed-shape [`pairwise_sum`] over per-host draws that the
     /// incremental tree maintains under point updates.
-    ///
-    /// With more than one worker thread the per-host draws are computed
-    /// in parallel shards into a reusable buffer first; the fold then
-    /// runs over the same addends in the same tree shape as the serial
-    /// path, so the result is bit-identical at any thread count.
     fn scan_total_power_w(&self) -> f64 {
-        let n = self.hosts.len();
-        if self.threads > 1 && n > 1 {
-            let buf = self.sharded_power_draws();
-            pairwise_sum(n, |i| buf[i])
-        } else {
-            pairwise_sum(n, |i| self.hosts[i].power().power_w())
-        }
-    }
-
-    /// Fills the reusable power scratch buffer with every host's current
-    /// draw using the worker pool, returning the borrow for the caller's
-    /// fold or rebuild.
-    fn sharded_power_draws(&self) -> std::cell::RefMut<'_, Vec<f64>> {
-        let n = self.hosts.len();
-        let mut buf = self.power_scratch.borrow_mut();
-        reset_zeroed(&mut buf, n);
-        let ranges = pool::shard_ranges(n, self.threads);
-        let mut buf_it = pool::split_mut(&mut buf, &ranges).into_iter();
-        let shards: Vec<(&[Host], &mut [f64])> = ranges
-            .iter()
-            .map(|r| {
-                (
-                    &self.hosts[r.clone()],
-                    buf_it.next().expect("one chunk per range"),
-                )
-            })
-            .collect();
-        pool::for_each_shard(self.threads, shards, |_, (hosts, out)| {
-            for (o, h) in out.iter_mut().zip(hosts) {
-                *o = h.power().power_w();
-            }
-        });
-        buf
+        pairwise_sum(self.hosts.len(), |i| self.hosts[i].power().power_w())
     }
 
     /// Total cluster energy consumed so far, in joules.

@@ -6,11 +6,9 @@
 //! and mark them *draining*. Once a draining host is empty, the manager
 //! emits the power-down.
 
-use std::ops::Range;
-
 use cluster::{HostId, VmId};
 use obs::SpanTracer;
-use simcore::{pool, SimTime};
+use simcore::SimTime;
 
 use crate::plan::PlanContext;
 use crate::{
@@ -22,10 +20,7 @@ use crate::{
 /// drain candidates while spare capacity allows.
 ///
 /// Mutates `ctx.draining` (the manager copies it back), appends migration
-/// actions, and decrements `budget`. `threads > 1` shards the candidate
-/// scoring scan across worker threads (deterministically — see
-/// [`pick_candidate`]); planning, evacuation, and the LIFO undo journal
-/// always stay serial.
+/// actions, and decrements `budget`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_consolidation(
     ctx: &mut PlanContext,
@@ -35,7 +30,6 @@ pub(crate) fn plan_consolidation(
     now: SimTime,
     actions: &mut Vec<ManagementAction>,
     budget: &mut usize,
-    threads: usize,
     tracer: &mut SpanTracer,
 ) {
     let s_drain = tracer.name("drain");
@@ -63,7 +57,7 @@ pub(crate) fn plan_consolidation(
             return;
         }
         tracer.enter(s_scan);
-        let picked = pick_candidate(ctx, cfg, gate, recovery, now, threads);
+        let picked = pick_candidate(ctx, cfg, gate, recovery, now);
         tracer.exit(s_scan);
         let Some(candidate) = picked else {
             return;
@@ -110,28 +104,18 @@ pub(crate) fn plan_consolidation(
 }
 
 /// Picks the least-loaded drainable host, if the fleet can spare it.
-///
-/// With `threads > 1` the qualification scan is sharded: each worker
-/// finds its shard's first-wins minimum over a fixed contiguous index
-/// range, and the shard winners are merged here in ascending shard order
-/// with the same strict less-than rule. Because shard ranges are
-/// ascending and first-wins-within-shard plus first-wins-across-shards
-/// composes to first-wins-globally, the result is identical to the
-/// serial scan for any thread count.
 fn pick_candidate(
     ctx: &mut PlanContext,
     cfg: &ManagerConfig,
     gate: &HysteresisGate,
     recovery: &RecoveryTracker,
     now: SimTime,
-    threads: usize,
 ) -> Option<usize> {
     if ctx.index_valid() {
         return pick_candidate_indexed(ctx, cfg, gate, recovery, now);
     }
-    // Work accounting happens up front, on the coordinating side, so the
-    // counts are identical for every thread count: the aggregate fold and
-    // the qualification scan each visit every host exactly once.
+    // The aggregate fold and the qualification scan each visit every
+    // host exactly once.
     ctx.work.fold_elements += ctx.num_hosts() as u64;
     ctx.work.candidates_scanned += ctx.num_hosts() as u64;
     let ctx = &*ctx;
@@ -166,64 +150,36 @@ fn pick_candidate(
 
     // Least-loaded qualifying host; first wins on ties, matching
     // `Iterator::min_by` over ascending indices.
-    let scan_range = |range: Range<usize>| -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for h in range {
-            let qualifies = ctx.operational[h]
-                && !ctx.draining[h]
-                && ctx.util(h) < cfg.underload_threshold()
-                && gate.may_power_down(HostId(h as u32), now)
-                // Quarantined hosts stay out of the park-candidate set:
-                // evacuating one would strand it on (its power-down is
-                // blocked) while paying the migration cost anyway.
-                && !recovery.is_quarantined(h)
-                // Removing this host must still leave enough capacity.
-                && active_capacity + arriving_capacity - ctx.cpu_capacity[h] >= required;
-            if !qualifies {
-                continue;
+    let mut best: Option<usize> = None;
+    for h in 0..n {
+        let qualifies = ctx.operational[h]
+            && !ctx.draining[h]
+            && ctx.util(h) < cfg.underload_threshold()
+            && gate.may_power_down(HostId(h as u32), now)
+            // Quarantined hosts stay out of the park-candidate set:
+            // evacuating one would strand it on (its power-down is
+            // blocked) while paying the migration cost anyway.
+            && !recovery.is_quarantined(h)
+            // Removing this host must still leave enough capacity.
+            && active_capacity + arriving_capacity - ctx.cpu_capacity[h] >= required;
+        if !qualifies {
+            continue;
+        }
+        best = match best {
+            Some(b)
+                if ctx
+                    .util(h)
+                    .partial_cmp(&ctx.util(b))
+                    .expect("utilization is finite")
+                    .is_lt() =>
+            {
+                Some(h)
             }
-            best = match best {
-                Some(b)
-                    if ctx
-                        .util(h)
-                        .partial_cmp(&ctx.util(b))
-                        .expect("utilization is finite")
-                        .is_lt() =>
-                {
-                    Some(h)
-                }
-                Some(b) => Some(b),
-                None => Some(h),
-            };
-        }
-        best
-    };
-    let n = ctx.num_hosts();
-    if threads > 1 && n > 1 {
-        let ranges = pool::shard_ranges(n, threads);
-        let winners = pool::map_shards(threads, ranges, |_, r| scan_range(r));
-        // Merge in ascending shard order with the same strict less-than:
-        // an earlier shard's winner survives a tie, matching first-wins.
-        let mut best: Option<usize> = None;
-        for h in winners.into_iter().flatten() {
-            best = match best {
-                Some(b)
-                    if ctx
-                        .util(h)
-                        .partial_cmp(&ctx.util(b))
-                        .expect("utilization is finite")
-                        .is_lt() =>
-                {
-                    Some(h)
-                }
-                Some(b) => Some(b),
-                None => Some(h),
-            };
-        }
-        best
-    } else {
-        scan_range(0..n)
+            Some(b) => Some(b),
+            None => Some(h),
+        };
     }
+    best
 }
 
 /// Indexed twin of [`pick_candidate`]: the capacity aggregates come from
@@ -478,7 +434,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         // Host 2 (util 0.5/8) is the prime candidate and must fully drain.
@@ -512,7 +467,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(!ctx.draining[2], "quarantined host was drained");
@@ -535,7 +489,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(actions.is_empty());
@@ -562,7 +515,6 @@ mod tests {
             SimTime::from_secs(60),
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(actions.is_empty());
@@ -629,7 +581,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         // Only one 24 GB VM fits on host 1 (24 free); evacuation is
@@ -715,7 +666,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(
@@ -755,7 +705,6 @@ mod tests {
                 SimTime::ZERO,
                 &mut actions,
                 &mut budget,
-                1,
                 &mut SpanTracer::new(),
             );
             (actions, ctx.draining.clone(), budget)
@@ -792,7 +741,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(ctx.movable_vms(0).is_empty());

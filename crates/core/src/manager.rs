@@ -90,9 +90,6 @@ pub struct VirtManager {
     /// allocates nothing.
     predicted_buf: Vec<f64>,
     ctx: PlanContext,
-    /// Worker threads for the sharded consolidation candidate scan; `1`
-    /// keeps planning fully serial.
-    threads: usize,
     /// Log-bucket histogram of total actions per round — deterministic
     /// (counts actions, not time), feeds the decision record's
     /// percentile summary.
@@ -141,23 +138,8 @@ impl VirtManager {
             stats: RoundStats::default(),
             predicted_buf: Vec::new(),
             ctx,
-            threads: 1,
             actions_hist: Histogram::new(),
         }
-    }
-
-    /// Sets the worker-thread count for the sharded consolidation
-    /// candidate scan. `1` (the default) keeps planning fully serial; any
-    /// count produces bit-identical plans — shard boundaries are fixed and
-    /// every floating-point reduction stays on the calling thread in index
-    /// order.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker-thread count for sharded planning.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The configuration.
@@ -378,7 +360,6 @@ impl VirtManager {
                 obs.now,
                 &mut actions,
                 &mut budget,
-                self.threads,
                 tracer,
             );
         }

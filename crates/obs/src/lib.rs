@@ -19,9 +19,8 @@
 //!   JSON, and collapsed-stack flamegraph text. Wall time never touches
 //!   simulation state, so runs stay bit-deterministic with tracing on
 //!   or off.
-//! * [`profile`] — the frozen [`ProfileSummary`] table (still the flat
-//!   top-level view of a trace) and the deprecated flat
-//!   `PhaseProfiler`, superseded by [`SpanTracer`].
+//! * [`profile`] — the frozen [`ProfileSummary`] table, the flat
+//!   top-level view of a [`SpanTracer`] trace.
 //!
 //! # Design rule: observe, never steer
 //!
@@ -44,7 +43,6 @@ pub use metrics::{
     CounterId, GaugeId, Histogram, HistogramId, MetricEntry, MetricValue, MetricsRegistry,
     MetricsSnapshot, Quantiles,
 };
-#[allow(deprecated)]
-pub use profile::{PhaseId, PhaseProfiler, PhaseStat, ProfileSummary};
+pub use profile::{PhaseStat, ProfileSummary};
 pub use sink::{CountingSink, JsonlSink, MemorySink, NullSink, TraceSink};
 pub use span::{SpanName, SpanStat, SpanSummary, SpanTracer};

@@ -3,128 +3,13 @@
 //! The simulator is bit-deterministic in simulated time; wall-clock
 //! measurement must therefore live entirely outside the simulation
 //! state. [`ProfileSummary`] is the frozen flat table of per-phase
-//! totals that never feeds back into simulation results; since the
-//! hierarchical [`SpanTracer`](crate::span::SpanTracer) landed it is
-//! produced by [`SpanTracer::flat_summary`](crate::span::SpanTracer::flat_summary)
+//! totals that never feeds back into simulation results; it is produced
+//! by [`SpanTracer::flat_summary`](crate::span::SpanTracer::flat_summary)
 //! as the top-level view of the span tree.
-//!
-//! The flat `PhaseProfiler` that used to fill it cannot represent
-//! nested phases and is deprecated; use the span tracer instead.
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use crate::json::Json;
-
-/// Handle to a registered phase.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `obs::span::SpanTracer` and `SpanName`; the flat profiler cannot nest phases"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseId(usize);
-
-#[derive(Debug, Clone, Default)]
-struct PhaseAcc {
-    total: Duration,
-    calls: u64,
-}
-
-/// Accumulates wall-clock time per phase (flat — no nesting).
-#[deprecated(
-    since = "0.3.0",
-    note = "use `obs::span::SpanTracer`, whose `flat_summary()` is a drop-in replacement \
-            for `PhaseProfiler::summary()`"
-)]
-#[derive(Debug, Clone)]
-pub struct PhaseProfiler {
-    phases: Vec<(String, PhaseAcc)>,
-    enabled: bool,
-    created: Instant,
-}
-
-#[allow(deprecated)]
-impl PhaseProfiler {
-    /// A profiler that records nothing until [`enable`](Self::enable)d.
-    pub fn new() -> Self {
-        PhaseProfiler {
-            phases: Vec::new(),
-            enabled: false,
-            created: Instant::now(),
-        }
-    }
-
-    /// An enabled profiler.
-    pub fn enabled() -> Self {
-        let mut p = PhaseProfiler::new();
-        p.enable();
-        p
-    }
-
-    /// Turns recording on.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Whether the profiler is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Registers (or re-finds) a phase by name.
-    pub fn phase(&mut self, name: &str) -> PhaseId {
-        if let Some(i) = self.phases.iter().position(|(n, _)| n == name) {
-            return PhaseId(i);
-        }
-        self.phases.push((name.to_string(), PhaseAcc::default()));
-        PhaseId(self.phases.len() - 1)
-    }
-
-    /// Reads the clock if enabled. Pass the result to
-    /// [`stop`](Self::stop).
-    #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Accumulates the time since `started` into `phase` (no-op when
-    /// `started` is `None`, i.e. the profiler was disabled at start).
-    #[inline]
-    pub fn stop(&mut self, phase: PhaseId, started: Option<Instant>) {
-        if let Some(t0) = started {
-            let acc = &mut self.phases[phase.0].1;
-            acc.total += t0.elapsed();
-            acc.calls += 1;
-        }
-    }
-
-    /// Freezes the accumulated phases into a summary.
-    pub fn summary(&self) -> ProfileSummary {
-        ProfileSummary {
-            phases: self
-                .phases
-                .iter()
-                .map(|(name, acc)| PhaseStat {
-                    name: name.clone(),
-                    calls: acc.calls,
-                    total_secs: acc.total.as_secs_f64(),
-                })
-                .collect(),
-            wall_secs: self.created.elapsed().as_secs_f64(),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl Default for PhaseProfiler {
-    fn default() -> Self {
-        PhaseProfiler::new()
-    }
-}
 
 /// Frozen per-phase wall-clock totals.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,13 +33,13 @@ impl PhaseStat {
     }
 }
 
-/// A profiler's frozen output: phase totals plus the profiler's own
+/// A trace's frozen flat view: top-level phase totals plus the tracer's own
 /// lifetime (an upper bound covering unattributed time).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileSummary {
     /// Per-phase stats, in registration order.
     pub phases: Vec<PhaseStat>,
-    /// Wall-clock seconds since the profiler was created.
+    /// Wall-clock seconds since the tracer was created.
     pub wall_secs: f64,
 }
 
@@ -217,56 +102,43 @@ impl fmt::Display for ProfileSummary {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn disabled_profiler_records_nothing() {
-        let mut p = PhaseProfiler::new();
-        let id = p.phase("plan");
-        let t = p.start();
-        assert!(t.is_none());
-        p.stop(id, t);
-        assert_eq!(p.summary().phase("plan").unwrap().calls, 0);
-    }
-
-    #[test]
-    fn enabled_profiler_accumulates() {
-        let mut p = PhaseProfiler::enabled();
-        let id = p.phase("dispatch");
-        for _ in 0..3 {
-            let t = p.start();
-            std::hint::black_box(0u64);
-            p.stop(id, t);
+    fn summary() -> ProfileSummary {
+        ProfileSummary {
+            phases: vec![
+                PhaseStat {
+                    name: "plan".to_string(),
+                    calls: 4,
+                    total_secs: 2e-6,
+                },
+                PhaseStat {
+                    name: "idle".to_string(),
+                    calls: 0,
+                    total_secs: 0.0,
+                },
+            ],
+            wall_secs: 1.0,
         }
-        let s = p.summary();
-        let stat = s.phase("dispatch").unwrap();
-        assert_eq!(stat.calls, 3);
-        assert!(stat.total_secs >= 0.0);
-        assert!(s.wall_secs >= stat.total_secs);
-        assert!(s.attributed_secs() >= stat.total_secs);
     }
 
     #[test]
-    fn phase_ids_are_stable() {
-        let mut p = PhaseProfiler::enabled();
-        let a = p.phase("a");
-        let b = p.phase("b");
-        assert_ne!(a, b);
-        assert_eq!(p.phase("a"), a);
+    fn lookup_and_totals() {
+        let s = summary();
+        assert_eq!(s.phase("plan").unwrap().calls, 4);
+        assert!(s.phase("missing").is_none());
+        assert_eq!(s.attributed_secs(), 2e-6);
+        assert!((s.phase("plan").unwrap().mean_micros() - 0.5).abs() < 1e-12);
+        assert_eq!(s.phase("idle").unwrap().mean_micros(), 0.0);
     }
 
     #[test]
     fn summary_serializes() {
-        let mut p = PhaseProfiler::enabled();
-        let id = p.phase("x");
-        let t = p.start();
-        p.stop(id, t);
-        let json = p.summary().to_json();
+        let json = summary().to_json();
         assert!(json.get("wall_secs").is_some());
         let phases = json.get("phases").unwrap().as_array().unwrap();
-        assert_eq!(phases[0].get("name").unwrap().as_str(), Some("x"));
-        assert_eq!(phases[0].get("calls").unwrap().as_i64(), Some(1));
+        assert_eq!(phases[0].get("name").unwrap().as_str(), Some("plan"));
+        assert_eq!(phases[0].get("calls").unwrap().as_i64(), Some(4));
     }
 }

@@ -1,6 +1,6 @@
 //! Hierarchical wall-clock span tracing.
 //!
-//! [`SpanTracer`] generalizes the flat phase profiler to *nested* spans:
+//! [`SpanTracer`] records *nested* wall-clock spans:
 //! `plan > consolidate > candidate_scan`, `execute > migration`, and so
 //! on. Each distinct call path gets one arena node holding cumulative
 //! wall time and call count, and a bounded ring of recent span events
@@ -280,8 +280,7 @@ impl SpanTracer {
     }
 
     /// The flat, top-level view: one [`PhaseStat`] per depth-1 span, in
-    /// first-seen order — the drop-in replacement for the old
-    /// phase-profiler summary.
+    /// first-seen order.
     pub fn flat_summary(&self) -> ProfileSummary {
         ProfileSummary {
             phases: self.nodes[0]

@@ -2,12 +2,12 @@
 //!
 //! [`SimulationBuilder`] is the one front door to every way this crate
 //! can evaluate an [`Experiment`]: the discrete-event engine (optionally
-//! sharded across worker threads, optionally distributed across
-//! concurrent schedulers, optionally profiled, optionally returning the
-//! final cluster), the analytic `Oracle` bound, and the analytic
-//! DVFS-only baseline. The four legacy entry points (`Experiment::run`,
-//! `run_detailed`, `run_profiled`, `run_dvfs_baseline`) were removed
-//! after their one-release deprecation window.
+//! distributed across concurrent schedulers, optionally profiled,
+//! optionally returning the final cluster), the analytic `Oracle` bound,
+//! and the analytic DVFS-only baseline. The four legacy entry points
+//! (`Experiment::run`, `run_detailed`, `run_profiled`,
+//! `run_dvfs_baseline`) were removed after their one-release deprecation
+//! window.
 //!
 //! The builder validates the whole configuration up front:
 //! [`SimulationBuilder::build`] returns [`SimError::InvalidConfig`]
@@ -25,7 +25,6 @@
 //!     .policy(PowerPolicy::reactive_suspend())
 //!     .horizon(SimDuration::from_hours(2));
 //! let out = SimulationBuilder::new(experiment)
-//!     .threads(2) // bit-identical to the serial engine
 //!     .capture_cluster(true)
 //!     .build()?
 //!     .run()?;
@@ -43,38 +42,25 @@ use crate::{Experiment, SimError, SimReport};
 /// Builder for a validated, ready-to-run [`Simulation`].
 ///
 /// Wraps an [`Experiment`] (the *what*: scenario, policy, horizon,
-/// failure model, sinks) with execution options (the *how*: worker
-/// threads, profiling, cluster capture, analytic DVFS mode).
+/// failure model, sinks) with execution options (the *how*: profiling,
+/// cluster capture, analytic DVFS mode).
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     experiment: Experiment,
-    threads: usize,
     profiling: bool,
     capture_cluster: bool,
     dvfs: Option<DvfsModel>,
 }
 
 impl SimulationBuilder {
-    /// Starts a builder around `experiment` with serial execution and no
-    /// extra outputs.
+    /// Starts a builder around `experiment` with no extra outputs.
     pub fn new(experiment: Experiment) -> Self {
         SimulationBuilder {
             experiment,
-            threads: 1,
             profiling: false,
             capture_cluster: false,
             dvfs: None,
         }
-    }
-
-    /// Sets the worker-thread count for the deterministic sharded tick
-    /// engine (default 1 — the original serial engine). Any count
-    /// produces a bit-identical [`SimReport`]; the count is honored
-    /// exactly, never capped by the machine's core count.
-    /// [`build`](Self::build) rejects `0`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Enables wall-clock phase profiling; the profile comes back in
@@ -150,16 +136,14 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] for an inconsistent configuration
-    /// (zero threads, zero horizon, control interval longer than the
-    /// horizon, invalid manager thresholds, or cluster/profile capture
-    /// requested from an analytic mode);
+    /// (zero horizon, control interval longer than the horizon, invalid
+    /// manager thresholds, zero schedulers or more schedulers than hosts,
+    /// or cluster/profile capture or schedulers requested from an
+    /// analytic mode);
     /// [`SimError::InitialPlacement`] / [`SimError::TraceIo`] as for the
     /// engine.
     pub fn build(self) -> Result<Simulation, SimError> {
         let invalid = |message: String| SimError::InvalidConfig { message };
-        if self.threads == 0 {
-            return Err(invalid("threads must be at least 1".to_string()));
-        }
         let horizon = self.experiment.horizon_duration();
         if horizon.as_secs_f64() <= 0.0 {
             return Err(invalid("horizon must be non-zero".to_string()));
@@ -177,19 +161,6 @@ impl SimulationBuilder {
             .resolve_config()
             .try_validate()
             .map_err(|e| invalid(format!("manager config: {e}")))?;
-        if let Some((schedulers, _, _)) = self.experiment.control_plane_knobs() {
-            if schedulers == 0 {
-                return Err(invalid(
-                    "control plane needs at least one scheduler".to_string(),
-                ));
-            }
-            let hosts = self.experiment.scenario().host_specs().len();
-            if schedulers > hosts {
-                return Err(invalid(format!(
-                    "more schedulers ({schedulers}) than hosts ({hosts})"
-                )));
-            }
-        }
 
         let analytic = if self.dvfs.is_some() {
             Some("the DVFS baseline")
@@ -221,7 +192,6 @@ impl SimulationBuilder {
         }
 
         let mut sim = self.experiment.build_sim()?;
-        sim.set_threads(self.threads);
         if self.profiling {
             sim.enable_profiling();
         }
@@ -357,16 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_is_rejected() {
-        let err = SimulationBuilder::new(experiment(3))
-            .threads(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("threads"));
-    }
-
-    #[test]
     fn interval_beyond_horizon_is_rejected() {
         let e = experiment(4).control_interval(SimDuration::from_hours(3));
         let err = SimulationBuilder::new(e).build().unwrap_err();
@@ -424,22 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_build_matches_serial_report() {
-        let serial = SimulationBuilder::new(experiment(9))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let sharded = SimulationBuilder::new(experiment(9))
-            .threads(4)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(serial.report, sharded.report);
-    }
-
-    #[test]
     fn control_plane_knobs_are_validated() {
         let err = SimulationBuilder::new(experiment(10))
             .schedulers(0)
@@ -461,6 +405,52 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("no schedulers"), "{err}");
+    }
+
+    /// A managed 4-host simulator (`small_test`), straight from the engine.
+    fn managed_sim() -> crate::DatacenterSim {
+        let e = experiment(12);
+        let s = e.scenario();
+        let manager = agile_core::VirtManager::new(
+            ManagerConfig::new(PowerPolicy::reactive_suspend()),
+            s.host_specs().len(),
+            s.fleet().len(),
+        );
+        crate::DatacenterSim::new(
+            s,
+            Some(manager),
+            s.demand_step(),
+            SimDuration::from_hours(2),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn set_control_plane_rejects_zero_schedulers() {
+        let err = managed_sim().set_control_plane(0, 0, 0).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }));
+        assert!(err.to_string().contains("at least one scheduler"), "{err}");
+    }
+
+    #[test]
+    fn set_control_plane_rejects_more_schedulers_than_hosts() {
+        let mut sim = managed_sim();
+        let err = sim.set_control_plane(5, 0, 0).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }));
+        assert!(err.to_string().contains("more schedulers"), "{err}");
+        // The rejected call left the default plane in place.
+        assert!(sim.set_control_plane(4, 0, 0).is_ok());
+    }
+
+    #[test]
+    fn set_control_plane_rejects_an_unmanaged_simulator() {
+        let s = Scenario::small_test(13);
+        let mut sim =
+            crate::DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(2))
+                .unwrap();
+        let err = sim.set_control_plane(1, 0, 0).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }));
+        assert!(err.to_string().contains("managed simulator"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use agile_core::{
-    schedview, ClusterObservation, CommitStats, HostObservation, ManagementAction, PlacementFacts,
+    schedview, ClusterObservation, HostObservation, ManagementAction, PlacementFacts,
     PlacementStore, RoundStats, VirtManager, VmObservation,
 };
 use cluster::{AccountingMode, Cluster, ClusterError, DemandOutcome, HostId, VmId};
@@ -68,6 +68,34 @@ struct ControlPlane {
 }
 
 impl ControlPlane {
+    /// `schedulers` replicas of `template` (each an identical clone) over
+    /// contiguous partitions of `num_hosts` hosts. The caller has
+    /// validated `1 <= schedulers <= num_hosts`.
+    fn new(
+        template: VirtManager,
+        schedulers: usize,
+        staleness: usize,
+        latency: usize,
+        num_hosts: usize,
+        num_vms: usize,
+    ) -> Self {
+        let mut replicas = Vec::with_capacity(schedulers);
+        for _ in 1..schedulers {
+            replicas.push(template.clone());
+        }
+        replicas.push(template);
+        ControlPlane {
+            schedulers: replicas,
+            partitions: pool::shard_ranges(num_hosts, schedulers),
+            staleness,
+            latency,
+            history: VecDeque::new(),
+            pending: VecDeque::new(),
+            store: PlacementStore::new(num_hosts, num_vms),
+            view_buf: ClusterObservation::default(),
+        }
+    }
+
     /// Whether per-scheduler views diverge at all: with one scheduler (or
     /// zero staleness) every view is the fresh observation and the merge
     /// is skipped entirely.
@@ -163,28 +191,23 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
 /// per-host power traces).
 ///
 /// Each control tick the simulator (1) applies the fleet's demand to the
-/// cluster, (2) records metrics, (3) hands the manager an observation and
-/// executes the actions it returns, scheduling completion events for
-/// migrations and power transitions. Actions that the cluster rejects
-/// (because the world moved since the manager planned) are counted as
-/// failures, not errors — exactly how a real management plane behaves.
+/// cluster, (2) records metrics, (3) hands the control plane's schedulers
+/// an observation and commits the actions they return through the
+/// placement store, scheduling completion events for migrations and power
+/// transitions. Actions that the store or the cluster rejects (because
+/// the world moved since the manager planned) are counted as failures,
+/// not errors — exactly how a real management plane behaves.
 #[derive(Debug)]
 pub struct DatacenterSim {
     cluster: Cluster,
     /// Every VM's demand fraction, sample-major (one row per trace step).
     demand: DemandTable,
     vm_caps: Vec<f64>,
-    manager: Option<VirtManager>,
-    /// The distributed control plane, when enabled via
-    /// [`set_control_plane`](Self::set_control_plane). `None` runs the
-    /// original single-planner path. The two are mutually exclusive:
-    /// installing the control plane moves the manager into it.
+    /// The control plane every managed run commits through: one fresh
+    /// scheduler by default, reshaped by
+    /// [`set_control_plane`](Self::set_control_plane). `None` runs an
+    /// unmanaged cluster.
     control: Option<ControlPlane>,
-    /// Commit ledger for the single-planner path: every planned action is
-    /// committed the same round, so `planned == accepted` and every other
-    /// counter stays zero. Kept so managed reports carry the same
-    /// `work.commit.*` metrics regardless of which path ran.
-    direct_commit: CommitStats,
     queue: EventQueue<Event>,
     control_interval: SimDuration,
     horizon: SimDuration,
@@ -222,11 +245,6 @@ pub struct DatacenterSim {
     s_migration: SpanName,
     s_power: SpanName,
     peak_queue_len: usize,
-    /// Worker-thread count for the sharded per-tick paths (the cluster's
-    /// demand serve and power scan, the planner's consolidation candidate
-    /// scan). `1` keeps every computation on the calling thread; any
-    /// count yields bit-identical reports.
-    threads: usize,
     /// Reusable per-tick buffers: the demand vector, the demand outcome,
     /// and the manager observation. Steady-state ticks allocate nothing
     /// once these reach fleet size.
@@ -239,6 +257,8 @@ impl DatacenterSim {
     /// Builds the simulator and performs the initial VM placement
     /// (round-robin across hosts, memory-checked).
     ///
+    /// A managed simulator plans with one scheduler over the whole fleet
+    /// (fresh view, same-tick commit) through the placement store;
     /// `manager: None` runs an unmanaged cluster (used by calibration
     /// drivers).
     ///
@@ -290,6 +310,7 @@ impl DatacenterSim {
         }
 
         let num_hosts = cluster.num_hosts();
+        let control = manager.map(|m| ControlPlane::new(m, 1, 0, 0, num_hosts, cluster.num_vms()));
         Ok(DatacenterSim {
             cluster,
             demand: DemandTable::build(scenario.fleet().traces(), horizon),
@@ -299,9 +320,7 @@ impl DatacenterSim {
                 .iter()
                 .map(|s| s.cpu_cap_cores())
                 .collect(),
-            manager,
-            control: None,
-            direct_commit: CommitStats::default(),
+            control,
             queue,
             control_interval,
             horizon,
@@ -335,7 +354,6 @@ impl DatacenterSim {
             s_migration,
             s_power,
             peak_queue_len: 0,
-            threads: 1,
             demand_buf: Vec::new(),
             outcome_buf: DemandOutcome::default(),
             obs_buf: ClusterObservation::default(),
@@ -396,80 +414,55 @@ impl DatacenterSim {
         self.failures = failures;
     }
 
-    /// Sets the worker-thread count for the deterministic sharded tick
-    /// engine and forwards it to the cluster's demand/power paths and the
-    /// manager's consolidation scoring. `1` (the default) is
-    /// the original serial engine; any count produces a bit-identical
-    /// [`SimReport`], because shard boundaries are a pure function of the
-    /// fleet size and every floating-point reduction stays on the calling
-    /// thread in index order. The count is honored exactly — it is never
-    /// capped by the machine's core count — so determinism tests can
-    /// exercise the sharded paths anywhere.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        self.cluster.set_threads(self.threads);
-        if let Some(m) = &mut self.manager {
-            m.set_threads(self.threads);
-        }
-        if let Some(control) = &mut self.control {
-            for m in &mut control.schedulers {
-                m.set_threads(self.threads);
-            }
-        }
-    }
-
-    /// Installs the distributed control plane: `schedulers` planner
-    /// replicas over fixed contiguous host partitions, remote partitions
-    /// observed `staleness` control rounds late, and plans committing
-    /// `latency` rounds after they are computed — all arbitrated by a
+    /// Reshapes the control plane: `schedulers` planner replicas over
+    /// fixed contiguous host partitions, remote partitions observed
+    /// `staleness` control rounds late, and plans committing `latency`
+    /// rounds after they are computed — all arbitrated by a
     /// conflict-checked [`PlacementStore`].
     ///
-    /// The manager passed to [`new`](Self::new) becomes the replica
-    /// template (each replica starts from an identical clone), so the
-    /// simulator must be managed. `schedulers = 1, staleness = 0,
-    /// latency = 0` reproduces the single-planner path byte-identically —
-    /// through the store — which is exactly what the differential suite
-    /// checks.
+    /// The manager passed to [`new`](Self::new) is the replica template
+    /// (each replica starts from an identical clone). `schedulers = 1,
+    /// staleness = 0, latency = 0` is the default plane.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unmanaged simulator, `schedulers == 0`, or more
-    /// schedulers than hosts (the builder rejects these with a typed
-    /// error first).
-    pub fn set_control_plane(&mut self, schedulers: usize, staleness: usize, latency: usize) {
-        assert!(schedulers > 0, "control plane needs at least one scheduler");
-        let template = self
-            .manager
-            .take()
-            .expect("control plane requires a managed simulator");
+    /// [`SimError::InvalidConfig`] on an unmanaged simulator,
+    /// `schedulers == 0`, or more schedulers than hosts; the simulator is
+    /// left unchanged.
+    pub fn set_control_plane(
+        &mut self,
+        schedulers: usize,
+        staleness: usize,
+        latency: usize,
+    ) -> Result<(), SimError> {
+        let invalid = |message: String| Err(SimError::InvalidConfig { message });
+        if self.control.is_none() {
+            return invalid("control plane requires a managed simulator".to_string());
+        }
+        if schedulers == 0 {
+            return invalid("control plane needs at least one scheduler".to_string());
+        }
         let num_hosts = self.cluster.num_hosts();
-        assert!(
-            schedulers <= num_hosts,
-            "more schedulers ({schedulers}) than hosts ({num_hosts})"
-        );
-        let mut replicas = Vec::with_capacity(schedulers);
-        for _ in 0..schedulers.saturating_sub(1) {
-            replicas.push(template.clone());
+        if schedulers > num_hosts {
+            return invalid(format!(
+                "more schedulers ({schedulers}) than hosts ({num_hosts})"
+            ));
         }
-        replicas.push(template);
-        for m in &mut replicas {
-            m.set_threads(self.threads);
-        }
-        self.control = Some(ControlPlane {
-            partitions: pool::shard_ranges(num_hosts, schedulers),
-            schedulers: replicas,
+        let plane = self.control.take().expect("checked managed above");
+        let template = plane
+            .schedulers
+            .into_iter()
+            .next()
+            .expect("non-empty plane");
+        self.control = Some(ControlPlane::new(
+            template,
+            schedulers,
             staleness,
             latency,
-            history: VecDeque::new(),
-            pending: VecDeque::new(),
-            store: PlacementStore::new(num_hosts, self.cluster.num_vms()),
-            view_buf: ClusterObservation::default(),
-        });
-    }
-
-    /// The worker-thread count (see [`set_threads`](Self::set_threads)).
-    pub fn threads(&self) -> usize {
-        self.threads
+            num_hosts,
+            self.cluster.num_vms(),
+        ));
+        Ok(())
     }
 
     /// Enables per-host power traces (memory-heavy; off by default).
@@ -551,11 +544,7 @@ impl DatacenterSim {
         // Unlike the wall-clock spans these are pure functions of the
         // scenario seed, so they may — must — enter the report: the
         // differential suite then verifies them like any other metric.
-        let managers: Vec<&VirtManager> = match &self.control {
-            Some(control) => control.schedulers.iter().collect(),
-            None => self.manager.iter().collect(),
-        };
-        for m in managers {
+        for m in self.control.iter().flat_map(|c| &c.schedulers) {
             for (name, value) in m.work_counters().entries() {
                 let id = self
                     .telemetry
@@ -580,12 +569,8 @@ impl DatacenterSim {
                 }
             }
         }
-        let commit = match &self.control {
-            Some(control) => Some(*control.store.stats()),
-            None if self.manager.is_some() => Some(self.direct_commit),
-            None => None,
-        };
-        if let Some(commit) = commit {
+        if let Some(control) = &self.control {
+            let commit = control.store.stats();
             debug_assert!(commit.is_balanced(), "commit ledger out of balance");
             for (name, value) in commit.entries() {
                 let id = self
@@ -594,27 +579,23 @@ impl DatacenterSim {
                     .counter(&format!("work.commit.{name}"));
                 self.telemetry.registry.add(id, value);
             }
-            // How many planners produced the ledger above. The direct
-            // path reports 1 so a single-scheduler control plane stays
-            // bit-identical to it; invariants use this to scale bounds
-            // that charge one unit of work per planner (e.g. index
-            // re-buckets per cluster dirty mark).
-            let schedulers = match &self.control {
-                Some(control) => control.schedulers.len() as u64,
-                None => 1,
-            };
+            // How many planners produced the ledger above; invariants use
+            // this to scale bounds that charge one unit of work per planner
+            // (e.g. index re-buckets per cluster dirty mark).
             let id = self.telemetry.registry.counter("work.commit.schedulers");
-            self.telemetry.registry.add(id, schedulers);
+            self.telemetry
+                .registry
+                .add(id, control.schedulers.len() as u64);
         }
         let dirty = self.telemetry.registry.counter("work.cluster.dirty_marks");
         self.telemetry
             .registry
             .add(dirty, self.cluster.dirty_marks());
-        let stats = match (&self.control, &self.manager) {
-            (Some(control), _) => fold_round_stats(&control.schedulers),
-            (None, Some(m)) => *m.stats(),
-            (None, None) => RoundStats::default(),
-        };
+        let stats = self
+            .control
+            .as_ref()
+            .map(|c| fold_round_stats(&c.schedulers))
+            .unwrap_or_default();
         let report = self.collector.finalize(
             self.scenario_name,
             self.policy_label,
@@ -835,46 +816,6 @@ impl DatacenterSim {
         // 2. Management round.
         if self.control.is_some() {
             self.control_round(now);
-        } else if self.manager.is_some() {
-            self.tracer.enter(self.s_observe);
-            let mut obs = std::mem::take(&mut self.obs_buf);
-            self.fill_observation(now, &mut obs);
-            self.tracer.exit(self.s_observe);
-
-            self.tracer.enter(self.s_plan);
-            let actions = self
-                .manager
-                .as_mut()
-                .expect("checked above")
-                .plan_traced(&obs, &mut self.tracer);
-            self.obs_buf = obs;
-            self.tracer.exit(self.s_plan);
-
-            self.telemetry.registry.inc(self.telemetry.rounds);
-            self.telemetry
-                .registry
-                .observe(self.telemetry.actions_per_round, actions.len() as f64);
-            if self.sink.enabled() {
-                if let Some(decision) = self
-                    .manager
-                    .as_ref()
-                    .expect("checked above")
-                    .last_decision()
-                {
-                    self.sink.emit(&decision.to_json());
-                }
-            }
-
-            // Same-round commit: every planned action is handed straight
-            // to the cluster, so the commit ledger is trivial.
-            self.direct_commit.planned += actions.len() as u64;
-            self.direct_commit.accepted += actions.len() as u64;
-
-            self.tracer.enter(self.s_execute);
-            for action in actions {
-                self.dispatch_action(action, now);
-            }
-            self.tracer.exit(self.s_execute);
         }
         self.collector
             .record_power(now, self.cluster.total_power_w());
@@ -890,7 +831,7 @@ impl DatacenterSim {
         }
     }
 
-    /// One management round of the distributed control plane: observe,
+    /// One management round of the control plane: observe,
     /// plan per scheduler over its merged view, filter each plan to owned
     /// subjects, queue the batches behind the control-loop latency, and
     /// commit the due round through the placement store's conflict check.
@@ -1539,47 +1480,9 @@ mod tests {
     }
 
     #[test]
-    fn single_scheduler_control_plane_matches_direct_path() {
-        let s = Scenario::datacenter(8, 32, 21);
-        let horizon = SimDuration::from_hours(24);
-        let direct = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            horizon,
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _, _)| r)
-        .unwrap();
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            horizon,
-        )
-        .unwrap();
-        sim.set_control_plane(1, 0, 0);
-        let plane = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
-        assert_eq!(direct, plane);
-        assert_eq!(
-            direct.to_json().to_string_compact(),
-            plane.to_json().to_string_compact()
-        );
-        // And nothing was rejected, dropped, or expired on the way.
-        assert_eq!(plane.metrics.counter("work.commit.rejected"), 0);
-        assert_eq!(plane.metrics.counter("work.commit.dropped_unowned"), 0);
-        assert_eq!(plane.metrics.counter("work.commit.expired"), 0);
-        assert_eq!(
-            plane.metrics.counter("work.commit.planned"),
-            plane.metrics.counter("work.commit.accepted")
-        );
-    }
-
-    #[test]
     fn single_scheduler_plane_ignores_staleness() {
         // With one scheduler the merge degenerates to the fresh view, so
-        // any staleness setting reproduces the direct path.
+        // any staleness setting reproduces the default plane.
         let s = Scenario::datacenter(6, 24, 23);
         let horizon = SimDuration::from_hours(12);
         let run = |staleness: usize| {
@@ -1590,7 +1493,7 @@ mod tests {
                 horizon,
             )
             .unwrap();
-            sim.set_control_plane(1, staleness, 0);
+            sim.set_control_plane(1, staleness, 0).unwrap();
             sim.run_inner().map(|(r, _, _, _)| r).unwrap()
         };
         assert_eq!(run(0), run(5));
@@ -1607,7 +1510,7 @@ mod tests {
                 SimDuration::from_hours(24),
             )
             .unwrap();
-            sim.set_control_plane(4, 2, 1);
+            sim.set_control_plane(4, 2, 1).unwrap();
             sim.enable_event_log();
             sim.run_inner().map(|(r, _, _, _)| r).unwrap()
         };
@@ -1647,7 +1550,7 @@ mod tests {
             SimDuration::from_hours(12),
         )
         .unwrap();
-        sim.set_control_plane(2, 0, 1);
+        sim.set_control_plane(2, 0, 1).unwrap();
         let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
         let m = &report.metrics;
         assert_eq!(

@@ -158,9 +158,10 @@ impl Experiment {
     }
 
     /// Selects the consolidation planning mode (default:
-    /// [`PlanMode::Scan`]). The indexed mode maintains utilization-bucket
+    /// [`PlanMode::Indexed`]). The indexed mode maintains utilization-bucket
     /// indices so candidate/destination picks stop scanning the full
-    /// fleet; reports must be bit-identical between the two. Overrides
+    /// fleet; the `Scan` oracle must produce the same report apart from
+    /// the search-cost counters. Overrides
     /// the mode carried by an explicit
     /// [`manager_config`](Self::manager_config).
     pub fn plan_mode(mut self, mode: PlanMode) -> Self {
@@ -182,13 +183,8 @@ impl Experiment {
     }
 
     /// Runs `count` concurrent scheduler replicas over fixed contiguous
-    /// host partitions, every commit arbitrated by the shared
-    /// conflict-checked placement store. Setting any control-plane knob
-    /// (this, [`view_staleness`](Self::view_staleness), or
-    /// [`control_latency`](Self::control_latency)) routes the run through
-    /// the distributed commit path; `schedulers(1)` with zero staleness
-    /// and latency reproduces the default path byte-identically, which is
-    /// what the differential suite verifies. Ignored by the analytic
+    /// host partitions (default 1), every commit arbitrated by the shared
+    /// conflict-checked placement store. Ignored by the analytic
     /// (`Oracle`/DVFS) paths — the builder rejects the combination.
     pub fn schedulers(mut self, count: usize) -> Self {
         self.schedulers = Some(count);
@@ -197,14 +193,14 @@ impl Experiment {
 
     /// Each scheduler observes remote partitions through a snapshot this
     /// many control rounds old (default 0 = fully fresh). Only visible
-    /// with more than one scheduler; implies the distributed commit path.
+    /// with more than one scheduler.
     pub fn view_staleness(mut self, rounds: usize) -> Self {
         self.view_staleness = Some(rounds);
         self
     }
 
     /// Plans computed at tick `t` commit at tick `t + rounds` (default 0
-    /// = same tick). Implies the distributed commit path.
+    /// = same tick).
     pub fn control_latency(mut self, rounds: usize) -> Self {
         self.control_latency = Some(rounds);
         self
@@ -259,7 +255,7 @@ impl Experiment {
         );
         let mut sim = DatacenterSim::new(&self.scenario, Some(manager), interval, self.horizon)?;
         if let Some((schedulers, staleness, latency)) = self.control_plane_knobs() {
-            sim.set_control_plane(schedulers, staleness, latency);
+            sim.set_control_plane(schedulers, staleness, latency)?;
         }
         sim.set_accounting_mode(self.accounting);
         sim.set_failure_model(self.failures);

@@ -23,8 +23,8 @@
 //! # Quickstart
 //!
 //! An [`sim::Experiment`] describes *what* to simulate; the
-//! [`sim::SimulationBuilder`] decides *how* to run it (worker threads,
-//! profiling, cluster capture) and validates the whole configuration
+//! [`sim::SimulationBuilder`] decides *how* to run it (profiling,
+//! cluster capture) and validates the whole configuration
 //! before anything executes:
 //!
 //! ```

@@ -7,18 +7,19 @@
 //!
 //! * incremental vs `Scan` cluster accounting (PR 2's speedup);
 //! * `Indexed` vs `Scan` consolidation planning (the bucket-index
-//!   speedup), including failure-injected and sharded-thread variants
-//!   — the work counters that measure *how* each mode searched are
-//!   mode-variant by design and are compared structurally instead;
-//! * the serial tick engine vs the sharded engine at 2, 4, and 8
-//!   worker threads (the deterministic-sharding contract);
+//!   speedup), including a failure-injected variant — the work counters
+//!   that measure *how* each mode searched are mode-variant by design
+//!   and are compared structurally instead;
 //! * `u16`-quantized vs dense f64 demand traces carrying the same
 //!   decoded samples;
 //! * pooled (`SweepBuilder::scale`) vs serial sweep execution;
 //! * a JSONL trace sink attached vs no sink at all;
 //! * the hierarchical span tracer enabled vs disabled (and with it the
 //!   deterministic `work.*` op-counters, which ride in the report's
-//!   metrics snapshot).
+//!   metrics snapshot);
+//! * the single-scheduler control plane vs golden report digests
+//!   blessed from the retired direct commit path, and vs itself at any
+//!   view staleness.
 //!
 //! Case counts default to 64 per property (`AGILEPM_CHECK_CASES`
 //! raises them in CI), so each pair is exercised on at least 64
@@ -202,62 +203,6 @@ fn indexed_planning_matches_scan_under_fault_injection() {
 }
 
 #[test]
-fn indexed_planning_matches_scan_on_the_sharded_engine() {
-    // Index maintenance lives on the control path, which stays serial
-    // even under the sharded tick engine — but the sharded scan path
-    // merges per-shard minima, so prove the index reproduces *that*
-    // ordering too.
-    check::check_cases(
-        "Indexed == Scan planning, 4 worker threads",
-        32,
-        &experiment_spec(),
-        |spec| {
-            let scenario = spec.scenario.build();
-            let run = |mode: PlanMode| {
-                SimulationBuilder::new(spec.experiment().plan_mode(mode).record_events())
-                    .threads(4)
-                    .run_report()
-                    .map_err(|e| format!("{spec:?}: {} run failed: {e:?}", mode.label()))
-            };
-            let indexed = run(PlanMode::Indexed)?;
-            let scan = run(PlanMode::Scan)?;
-            assert_plan_modes_equivalent(&scenario, &indexed, &scan, "indexed-vs-scan-sharded")
-        },
-    );
-}
-
-#[test]
-fn sharded_engine_matches_serial() {
-    // The deterministic-sharding contract: the same experiment at 2, 4,
-    // and 8 worker threads must produce a report bit-identical to the
-    // serial engine's — sharding may change wall-clock, never physics.
-    check::check(
-        "sharded == serial tick engine",
-        &experiment_spec(),
-        |spec| {
-            let scenario = spec.scenario.build();
-            let run = |threads: usize| {
-                SimulationBuilder::new(spec.experiment().record_events())
-                    .threads(threads)
-                    .run_report()
-                    .map_err(|e| format!("{spec:?}: {threads}-thread run failed: {e:?}"))
-            };
-            let serial = run(1)?;
-            for threads in [2, 4, 8] {
-                let sharded = run(threads)?;
-                assert_equivalent(
-                    &scenario,
-                    &serial,
-                    &sharded,
-                    &format!("serial-vs-{threads}-threads"),
-                )?;
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn quantized_traces_match_dense_traces_with_the_same_samples() {
     // Quantization itself is lossy, so the fair comparison is a
     // quantized fleet against a dense fleet built from the *decoded*
@@ -397,13 +342,12 @@ fn span_tracer_does_not_perturb_the_simulation() {
     // enabled must produce a report bit-identical to one with the
     // tracer off. The report embeds the metrics snapshot — including
     // the deterministic `work.*` op-counters — so this also proves the
-    // counters are tracer-independent, and the accounting/sharding
-    // pairs above prove them mode- and thread-independent.
+    // counters are tracer-independent, and the accounting pair above
+    // proves them mode-independent.
     check::check("tracer on == tracer off", &experiment_spec(), |spec| {
         let scenario = spec.scenario.build();
         let run = |profiling: bool| {
             SimulationBuilder::new(spec.experiment().record_events())
-                .threads(check_support::sim_threads())
                 .profiling(profiling)
                 .run_report()
                 .map_err(|e| format!("{spec:?}: profiling={profiling} run failed: {e:?}"))
@@ -471,26 +415,6 @@ fn joint_ladder_at_s3_slo_degenerates_to_reactive_suspend() {
 }
 
 #[test]
-fn joint_ladder_degeneracy_holds_on_the_sharded_engine() {
-    check::check_cases(
-        "JointLadder(12s) == PM-Suspend(S3), 4 worker threads",
-        32,
-        &experiment_spec(),
-        |spec| {
-            let run = |policy: PowerPolicy| {
-                SimulationBuilder::new(spec.experiment().policy(policy).record_events())
-                    .threads(4)
-                    .run_report()
-                    .map_err(|e| format!("{spec:?}: run failed: {e:?}"))
-            };
-            let ladder = run(PowerPolicy::joint_ladder(SimDuration::from_secs(12)))?;
-            let suspend = run(PowerPolicy::reactive_suspend())?;
-            assert_ladder_degenerates(spec, &ladder, &suspend, "ladder-vs-suspend-sharded")
-        },
-    );
-}
-
-#[test]
 fn policy_ladder_orders_energy_on_generated_diurnal_worlds() {
     // Oracle <= managed <= always-on, on worlds where consolidation has
     // something to harvest (the diurnal mix over a full day).
@@ -520,46 +444,118 @@ fn policy_ladder_orders_energy_on_generated_diurnal_worlds() {
     });
 }
 
+/// FNV-1a over a report's compact JSON: the fingerprint the golden
+/// files pin.
+fn report_digest(report: &SimReport) -> u64 {
+    report
+        .to_json()
+        .to_string_compact()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Cases per golden file.
+const GOLDEN_CASES: u64 = 32;
+
+/// Runs `GOLDEN_CASES` generated experiments and compares each report's
+/// digest against `tests/golden/<name>.txt`. Case `k` is drawn from a
+/// fresh choice source seeded `k`, with the plan mode pinned (scan on
+/// even cases, indexed on odd ones) so neither `AGILEPM_PLAN_MODE` nor
+/// `AGILEPM_SCHEDULERS` can move a digest. `AGILEPM_BLESS=1` rewrites
+/// the file instead of comparing.
+///
+/// The digests were blessed from the direct commit path, before every
+/// managed run went through the single-scheduler control plane; a
+/// mismatch means the plane no longer reproduces it.
+fn assert_matches_golden<T: std::fmt::Debug + 'static>(
+    name: &str,
+    input: &gen::Gen<T>,
+    experiment: impl Fn(&T, PlanMode) -> Experiment,
+) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"));
+    let mut actual = format!(
+        "# {name}: FNV-1a of SimReport::to_json().to_string_compact() per case.\n\
+         # Regenerate with: AGILEPM_BLESS=1 cargo test --test differential single_scheduler\n"
+    );
+    for k in 0..GOLDEN_CASES {
+        let case = input
+            .sample(&mut check::Source::fresh(k))
+            .expect("golden generators never reject");
+        let mode = if k % 2 == 0 {
+            PlanMode::Scan
+        } else {
+            PlanMode::Indexed
+        };
+        let experiment = experiment(&case, mode).record_events();
+        let scenario = experiment.scenario().clone();
+        let report = SimulationBuilder::new(experiment)
+            .run_report()
+            .unwrap_or_else(|e| panic!("case {k} {case:?}: run failed: {e:?}"));
+        check_report(&scenario, &report).unwrap_or_else(|e| panic!("case {k} {case:?}: {e}"));
+        // Nothing planned may be refused, dropped, or left uncommitted.
+        assert_eq!(report.metrics.counter("work.commit.rejected"), 0);
+        assert_eq!(
+            report.metrics.counter("work.commit.planned"),
+            report.metrics.counter("work.commit.accepted"),
+            "case {k} {case:?}: planned actions were not all committed"
+        );
+        actual.push_str(&format!(
+            "{k:02} {} {:#018x}\n",
+            mode.label(),
+            report_digest(&report)
+        ));
+    }
+    if std::env::var_os("AGILEPM_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e} (bless with AGILEPM_BLESS=1)", path.display()));
+    for (want, got) in expected.lines().zip(actual.lines()) {
+        assert_eq!(got, want, "{name}: report digest moved");
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
+}
+
 #[test]
 fn single_scheduler_plane_matches_direct_path() {
-    // The distributed control plane at `schedulers = 1`, zero view
-    // staleness, zero control latency is the global planner routed
-    // through the placement store: every planned action must clear the
-    // conflict check, and the report must come back bit-identical to
-    // the direct path (same plan mode, whatever the CI leg set).
-    check::check("schedulers=1 == direct path", &experiment_spec(), |spec| {
-        let scenario = spec.scenario.build();
-        let direct = check_support::run_experiment(spec.direct_experiment().record_events())
-            .map_err(|e| format!("{spec:?}: direct run failed: {e:?}"))?;
-        let plane = check_support::run_experiment(
-            spec.direct_experiment()
-                .schedulers(1)
-                .view_staleness(0)
-                .control_latency(0)
-                .record_events(),
-        )
-        .map_err(|e| format!("{spec:?}: control-plane run failed: {e:?}"))?;
-        // Non-vacuous: the plane leg really went through the store and
-        // the store refused nothing.
-        check::prop_assert_eq!(
-            plane.metrics.counter("work.commit.rejected"),
-            0,
-            "{spec:?}: single-scheduler plane rejected a commit"
-        );
-        check::prop_assert_eq!(
-            plane.metrics.counter("work.commit.planned"),
-            plane.metrics.counter("work.commit.accepted"),
-            "{spec:?}: single-scheduler plane lost planned actions"
-        );
-        assert_equivalent(&scenario, &plane, &direct, "plane-vs-direct")
+    // The single-scheduler control plane (zero view staleness, zero
+    // control latency) is the global planner routed through the
+    // placement store: it must reproduce the direct path's reports
+    // byte-for-byte, and the store must refuse nothing.
+    assert_matches_golden("single_scheduler", &experiment_spec(), |spec, mode| {
+        spec.direct_experiment().plan_mode(mode)
     });
+}
+
+#[test]
+fn single_scheduler_plane_matches_direct_under_fault_injection() {
+    // Fault injection perturbs the ground truth the store checks
+    // against (failed resumes, aborted migrations, hung transitions);
+    // the plane observing the same post-fault state must still plan
+    // and commit exactly as the direct path did.
+    let input = experiment_spec().zip(&failure_spec(499));
+    assert_matches_golden(
+        "single_scheduler_faults",
+        &input,
+        |(spec, failures), mode| {
+            spec.direct_experiment()
+                .plan_mode(mode)
+                .failure_model(failures.build())
+        },
+    );
 }
 
 #[test]
 fn single_scheduler_plane_is_staleness_invariant() {
     // View staleness only matters when partitioned views can diverge;
     // with one scheduler the merged view IS the fresh observation, so
-    // any staleness bound must reproduce the direct path bit-exactly.
+    // any staleness bound must reproduce the staleness-0 plane exactly.
     let input = experiment_spec().zip(&gen::usize_in(1..=4));
     check::check_cases(
         "schedulers=1 is staleness-invariant",
@@ -567,73 +563,18 @@ fn single_scheduler_plane_is_staleness_invariant() {
         &input,
         |(spec, staleness)| {
             let scenario = spec.scenario.build();
-            let direct = check_support::run_experiment(spec.direct_experiment().record_events())
-                .map_err(|e| format!("{spec:?}: direct run failed: {e:?}"))?;
-            let plane = check_support::run_experiment(
-                spec.direct_experiment()
-                    .schedulers(1)
-                    .view_staleness(*staleness)
-                    .record_events(),
-            )
-            .map_err(|e| format!("{spec:?}/staleness={staleness}: plane run failed: {e:?}"))?;
-            assert_equivalent(&scenario, &plane, &direct, "plane-staleness-vs-direct")
-        },
-    );
-}
-
-#[test]
-fn single_scheduler_plane_matches_direct_under_fault_injection() {
-    // Fault injection perturbs the ground truth the store checks
-    // against (failed resumes, aborted migrations, hung transitions);
-    // a single-scheduler plane observing the same post-fault state must
-    // still plan and commit identically to the direct path.
-    let input = experiment_spec().zip(&failure_spec(499));
-    check::check_cases(
-        "schedulers=1 == direct under faults",
-        32,
-        &input,
-        |(spec, failures)| {
-            let scenario = spec.scenario.build();
-            let run = |plane: bool| {
-                let mut experiment = spec.direct_experiment();
-                if plane {
-                    experiment = experiment.schedulers(1);
-                }
+            let run = |staleness: usize| {
                 check_support::run_experiment(
-                    experiment.failure_model(failures.build()).record_events(),
+                    spec.direct_experiment()
+                        .schedulers(1)
+                        .view_staleness(staleness)
+                        .record_events(),
                 )
-                .map_err(|e| format!("{spec:?}/{failures:?}: run failed: {e:?}"))
+                .map_err(|e| format!("{spec:?}/staleness={staleness}: run failed: {e:?}"))
             };
-            let plane = run(true)?;
-            let direct = run(false)?;
-            assert_equivalent(&scenario, &plane, &direct, "plane-vs-direct-faults")
-        },
-    );
-}
-
-#[test]
-fn single_scheduler_plane_matches_direct_on_the_sharded_engine() {
-    // The control plane sits on the serial control path; the sharded
-    // tick engine underneath must not be observable through it.
-    check::check_cases(
-        "schedulers=1 == direct, 4 worker threads",
-        32,
-        &experiment_spec(),
-        |spec| {
-            let scenario = spec.scenario.build();
-            let run = |plane: bool| {
-                let mut experiment = spec.direct_experiment();
-                if plane {
-                    experiment = experiment.schedulers(1);
-                }
-                SimulationBuilder::new(experiment.record_events())
-                    .threads(4)
-                    .run_report()
-                    .map_err(|e| format!("{spec:?}: run failed: {e:?}"))
-            };
-            let plane = run(true)?;
-            let direct = run(false)?;
-            assert_equivalent(&scenario, &plane, &direct, "plane-vs-direct-sharded")
+            let fresh = run(0)?;
+            let stale = run(*staleness)?;
+            assert_equivalent(&scenario, &stale, &fresh, "plane-staleness-vs-fresh")
         },
     );
 }

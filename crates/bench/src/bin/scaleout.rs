@@ -48,9 +48,10 @@ struct Row {
     /// mode-variant search-cost counters dropped, must match
     /// bit-for-bit or the bench aborts.
     scan_ticks_per_sec: Option<f64>,
+    /// Wall seconds of each depth-1 span (tick phase) of the best run.
     phases: Vec<(String, f64)>,
     /// Full hierarchical span summary of the best run.
-    spans: Option<SpanSummary>,
+    spans: SpanSummary,
     /// Deterministic `work.*` op-counters from the metrics snapshot —
     /// the wall-clock-free superlinearity evidence.
     work: Vec<(String, u64)>,
@@ -271,7 +272,7 @@ fn measure(
     // Best-of-N: the minimum wall time is the least scheduler-noise-
     // polluted sample; every repeat is the same deterministic simulation,
     // so only timing varies.
-    let mut best: Option<(f64, _, _, _)> = None;
+    let mut best: Option<(f64, _, _)> = None;
     for _ in 0..repeat {
         let exp = plane(
             Experiment::new(scenario.clone())
@@ -285,12 +286,12 @@ fn measure(
             .and_then(|sim| sim.run())
             .expect("scale-out run failed");
         let wall = t0.elapsed().as_secs_f64();
-        let profile = out.profile.expect("profiled run returns a profile");
-        if best.as_ref().is_none_or(|(w, _, _, _)| wall < *w) {
-            best = Some((wall, out.report, profile, out.spans));
+        let spans = out.spans.expect("profiled run returns the span tree");
+        if best.as_ref().is_none_or(|(w, _, _)| wall < *w) {
+            best = Some((wall, out.report, spans));
         }
     }
-    let (wall_secs, report, profile, spans) = best.expect("at least one repeat");
+    let (wall_secs, report, spans) = best.expect("at least one repeat");
     let ticks = report.horizon.as_millis() / step.as_millis() + 1;
 
     // Rerun against the O(n)-scan references (scan accounting and scan
@@ -341,10 +342,10 @@ fn measure(
         peak_rss_kb: peak_rss_kb(),
         plan_mode,
         scan_ticks_per_sec,
-        phases: profile
-            .phases
-            .iter()
-            .map(|p| (p.name.clone(), p.total_secs))
+        phases: spans
+            .children_of("")
+            .into_iter()
+            .map(|s| (s.name.clone(), s.total_secs))
             .collect(),
         spans,
         work: report
@@ -432,10 +433,7 @@ fn render_json(
             }
         }
         out.push_str("}, \"spans\": ");
-        match &r.spans {
-            Some(s) => out.push_str(&s.to_json().to_string_compact()),
-            None => out.push_str("null"),
-        }
+        out.push_str(&r.spans.to_json().to_string_compact());
         out.push('}');
         if i + 1 < rows.len() {
             out.push(',');

@@ -38,15 +38,18 @@ pub fn exp_t27_sized(hosts: usize, seed: u64) -> String {
     // order, led by the (1, 0) cell: the global planner.
     let reports: Vec<SimReport> = simcore::pool::run_indexed(1 + grid.len(), |i| {
         let experiment = Experiment::new(scenario.clone());
-        let builder = if i == 0 {
-            SimulationBuilder::new(experiment.policy(PowerPolicy::always_on()))
+        let experiment = if i == 0 {
+            experiment.policy(PowerPolicy::always_on())
         } else {
             let (schedulers, staleness) = grid[i - 1];
-            SimulationBuilder::new(experiment.policy(PowerPolicy::reactive_suspend()))
+            experiment
+                .policy(PowerPolicy::reactive_suspend())
                 .schedulers(schedulers)
                 .view_staleness(staleness)
         };
-        builder.run_report().expect("T27 run failed")
+        SimulationBuilder::new(experiment)
+            .run_report()
+            .expect("T27 run failed")
     });
     let base = &reports[0];
     let global = &reports[1];

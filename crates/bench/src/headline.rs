@@ -242,8 +242,9 @@ pub fn exp_t22_sized(hosts: usize, vms: usize, seed: u64) -> String {
     )
 }
 
-/// T25: simulator self-profile — wall-clock per control phase and event
-/// dispatch, plus the peak event-queue depth, for the headline run.
+/// T25: simulator self-profile — the wall-clock span tree (control
+/// phases, their sub-steps, and event dispatch), plus the peak
+/// event-queue depth, for the headline run.
 pub fn exp_profile() -> String {
     exp_profile_sized(HEADLINE_HOSTS, HEADLINE_VMS, SEED)
 }
@@ -259,14 +260,14 @@ pub fn exp_profile_sized(hosts: usize, vms: usize, seed: u64) -> String {
     .and_then(|sim| sim.run())
     .expect("headline scenario runs");
     let report = out.report;
-    let profile = out.profile.expect("profiled run returns a profile");
+    let spans = out.spans.expect("profiled run returns the span tree");
     let peak_queue = match report.metrics.get("sim.queue.peak") {
         Some(obs::MetricValue::Gauge(v)) => *v as u64,
         _ => 0,
     };
     format!(
         "Simulator phase profile, {hosts} hosts / {vms} VMs, 24 h diurnal, seed {seed}:\n\
-         {profile}\
+         {spans}\
          peak event queue: {peak_queue} entries\n\
          rounds: {}\n",
         report.metrics.counter("sim.rounds")

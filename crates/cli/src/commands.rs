@@ -56,9 +56,10 @@ run-ONLY FLAGS:
                        power transitions, migrations, VM lifecycle,
                        manager decisions, and a final run summary
   --metrics            print the metrics registry snapshot after the run
-  --profile            enable the hierarchical span tracer; the trace's
-                       run-summary record then carries the span tree for
-                       `perf-report` (timing never enters the report)
+  --profile            enable the hierarchical span tracer: print the span
+                       table after the summary, and carry the span tree in
+                       the trace's run-summary record for `perf-report`
+                       (timing never enters the report)
 
 perf-report:
   reads a JSON Lines trace (the `--trace-out` file), a bare span-summary
@@ -164,6 +165,14 @@ fn configure(
 }
 
 fn run(args: &[String]) -> CmdResult {
+    print!("{}", run_stdout(args)?);
+    Ok(())
+}
+
+/// Runs one simulation and returns what `run` prints: the summary table,
+/// then the metrics snapshot (`--metrics`) and the span table
+/// (`--profile`). The file outputs are written along the way.
+fn run_stdout(args: &[String]) -> Result<String, Box<dyn Error>> {
     let flags = Flags::parse(
         args,
         &[
@@ -193,17 +202,10 @@ fn run(args: &[String]) -> CmdResult {
     };
     let scenario = build_scenario(&flags)?;
     let resume_fail = flags.f64_or("resume-fail", 0.0)?;
-    let mut experiment = configure(&flags, scenario, policy)?.plan_mode(plan_mode);
-    let schedulers = flags.usize_or("schedulers", 1)?;
-    let staleness = flags.usize_or("staleness", 0)?;
-    if schedulers == 0 {
-        return Err(Box::new(ArgError(
-            "`--schedulers` must be positive".to_string(),
-        )));
-    }
-    if schedulers > 1 || staleness > 0 {
-        experiment = experiment.schedulers(schedulers).view_staleness(staleness);
-    }
+    let mut experiment = configure(&flags, scenario, policy)?
+        .plan_mode(plan_mode)
+        .schedulers(flags.usize_or("schedulers", 1)?)
+        .view_staleness(flags.usize_or("staleness", 0)?);
     if resume_fail > 0.0 {
         experiment = experiment.failure_model(FailureModel::new(resume_fail, 0.0));
     }
@@ -213,12 +215,17 @@ fn run(args: &[String]) -> CmdResult {
     if let Some(path) = flags.str_opt("trace-out") {
         experiment = experiment.trace_path(path);
     }
-    let report = SimulationBuilder::new(experiment)
+    let out = SimulationBuilder::new(experiment)
         .profiling(flags.switch("profile"))
-        .run_report()?;
-    print_summary(&report);
+        .build()?
+        .run()?;
+    let report = out.report;
+    let mut stdout = summary_table(&report);
     if flags.switch("metrics") {
-        print!("{}", report.metrics);
+        stdout += &report.metrics.to_string();
+    }
+    if let Some(spans) = &out.spans {
+        stdout += &spans.to_string();
     }
     if let Some(path) = flags.str_opt("trace-out") {
         eprintln!("streamed trace to {path}");
@@ -247,10 +254,10 @@ fn run(args: &[String]) -> CmdResult {
         fs::write(path, csv)?;
         eprintln!("wrote CSV series to {path}");
     }
-    Ok(())
+    Ok(stdout)
 }
 
-fn print_summary(r: &SimReport) {
+fn summary_table(r: &SimReport) -> String {
     let rows = vec![
         vec!["scenario".to_string(), r.scenario.clone()],
         vec!["policy".to_string(), r.policy.clone()],
@@ -284,7 +291,7 @@ fn print_summary(r: &SimReport) {
             r.transition_failures.to_string(),
         ],
     ];
-    print!("{}", table(&["metric", "value"], &rows));
+    table(&["metric", "value"], &rows)
 }
 
 fn compare(args: &[String]) -> CmdResult {
@@ -630,60 +637,24 @@ fn load_sections(path: &str) -> Result<Vec<PerfSection>, Box<dyn Error>> {
     ))))
 }
 
-/// Builds a section from a trace's `run-summary` record. Prefers the
-/// hierarchical span tree (present when the run was profiled); falls
-/// back to the flat wall-clock phase profile.
+/// Builds a section from a trace's `run-summary` record, whose span tree
+/// is present only when the run was profiled.
 fn trace_section(record: &Json) -> Result<PerfSection, Box<dyn Error>> {
     let label = format!(
         "{} / {}",
         record.get("scenario").and_then(Json::as_str).unwrap_or("?"),
         record.get("policy").and_then(Json::as_str).unwrap_or("?"),
     );
-    let summary = match record.get("spans") {
-        Some(spans) if *spans != Json::Null => {
-            SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?
-        }
-        _ => {
-            let profile = record
-                .get("profile")
-                .ok_or_else(|| ArgError("run-summary has no profile".to_string()))?;
-            flat_summary_from_profile(profile)?
-        }
-    };
+    let spans = record
+        .get("spans")
+        .filter(|spans| **spans != Json::Null)
+        .ok_or_else(|| {
+            ArgError(format!(
+                "{label}: the run was not profiled; rerun `agilepm run` with `--profile`"
+            ))
+        })?;
+    let summary = SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?;
     Ok(PerfSection { label, summary })
-}
-
-/// Converts a `ProfileSummary` JSON rendering into a depth-1 span
-/// summary so the report and diff paths are uniform.
-fn flat_summary_from_profile(profile: &Json) -> Result<SpanSummary, Box<dyn Error>> {
-    let wall_secs = profile
-        .get("wall_secs")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let phases = profile
-        .get("phases")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ArgError("profile has no `phases` array".to_string()))?;
-    let spans = phases
-        .iter()
-        .map(|p| {
-            let name = p
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            let total_secs = p.get("total_secs").and_then(Json::as_f64).unwrap_or(0.0);
-            SpanStat {
-                path: name.clone(),
-                name,
-                depth: 1,
-                calls: p.get("calls").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                total_secs,
-                self_secs: total_secs,
-            }
-        })
-        .collect();
-    Ok(SpanSummary { spans, wall_secs })
 }
 
 /// Builds a section from one entry of a scaleout artifact's `runs`
@@ -793,6 +764,20 @@ mod tests {
             dispatch(&argv(&["run", "--hosts", "4", "--schedulers", "8"])).is_err(),
             "more schedulers than hosts must be rejected"
         );
+    }
+
+    #[test]
+    fn run_profile_prints_the_span_table() {
+        let small = ["--hosts", "4", "--vms", "12", "--hours", "2"];
+        let has_plan_row = |text: &str| {
+            text.lines()
+                .any(|l| l.split_whitespace().next() == Some("plan"))
+        };
+        let profiled = run_stdout(&argv(&[&small[..], &["--profile"]].concat())).unwrap();
+        assert!(profiled.contains("% parent"), "{profiled}");
+        assert!(has_plan_row(&profiled), "{profiled}");
+        let plain = run_stdout(&argv(&small)).unwrap();
+        assert!(!has_plan_row(&plain), "{plain}");
     }
 
     #[test]
@@ -1017,6 +1002,30 @@ mod tests {
             bench.to_str().expect("utf8 path"),
         ]))
         .expect("self-diff renders");
+    }
+
+    #[test]
+    fn perf_report_rejects_an_unprofiled_trace() {
+        let dir = std::env::temp_dir().join("agilepm-cli-test");
+        fs::create_dir_all(&dir).expect("temp dir");
+        let trace = dir.join("perf_unprofiled.jsonl");
+        let trace = trace.to_str().expect("utf8 path");
+        dispatch(&argv(&[
+            "run",
+            "--hosts",
+            "4",
+            "--vms",
+            "12",
+            "--hours",
+            "2",
+            "--trace-out",
+            trace,
+        ]))
+        .expect("unprofiled run succeeds");
+        let err = dispatch(&argv(&["perf-report", trace])).expect_err("nothing to report");
+        let arg = err.downcast_ref::<ArgError>().expect("a usage error");
+        assert!(arg.0.contains("not profiled"), "{}", arg.0);
+        assert!(arg.0.contains("--profile"), "{}", arg.0);
     }
 
     #[test]

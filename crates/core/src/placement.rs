@@ -232,8 +232,8 @@ impl CommitStats {
 /// The per-round claim ledger is reset in O(claims), not O(fleet):
 /// every touched slot is remembered and cleared on
 /// [`begin_round`](Self::begin_round), so a quiet round costs nothing
-/// even at 65536 hosts.
-#[derive(Debug)]
+/// even at 65536 hosts. The `Default` store covers an empty fleet.
+#[derive(Debug, Default)]
 pub struct PlacementStore {
     /// VMs claimed for migration this round.
     vm_claimed: Vec<bool>,

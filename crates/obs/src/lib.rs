@@ -16,16 +16,15 @@
 //! * [`span`] — the hierarchical wall-clock [`SpanTracer`]: nested
 //!   spans (`plan > consolidate > candidate_scan`, ...) aggregated per
 //!   call path, exportable as attribution tables, chrome://tracing
-//!   JSON, and collapsed-stack flamegraph text. Wall time never touches
-//!   simulation state, so runs stay bit-deterministic with tracing on
-//!   or off.
-//! * [`profile`] — the frozen [`ProfileSummary`] table, the flat
-//!   top-level view of a [`SpanTracer`] trace.
+//!   JSON, and collapsed-stack flamegraph text. Its frozen
+//!   [`SpanSummary`] is the one wall-clock profile a run reports. Wall
+//!   time never touches simulation state, so runs stay bit-deterministic
+//!   with tracing on or off.
 //!
 //! # Design rule: observe, never steer
 //!
 //! Nothing in this crate may influence simulation results. Sinks consume
-//! records; registries count; profilers read real clocks that the
+//! records; registries count; the span tracer reads real clocks that the
 //! simulation cannot see. The `dcsim` determinism tests enforce this by
 //! comparing reports across telemetry configurations.
 
@@ -34,7 +33,6 @@
 
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod sink;
 pub mod span;
 
@@ -43,6 +41,5 @@ pub use metrics::{
     CounterId, GaugeId, Histogram, HistogramId, MetricEntry, MetricValue, MetricsRegistry,
     MetricsSnapshot, Quantiles,
 };
-pub use profile::{PhaseStat, ProfileSummary};
 pub use sink::{CountingSink, JsonlSink, MemorySink, NullSink, TraceSink};
 pub use span::{SpanName, SpanStat, SpanSummary, SpanTracer};

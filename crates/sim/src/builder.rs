@@ -2,12 +2,10 @@
 //!
 //! [`SimulationBuilder`] is the one front door to every way this crate
 //! can evaluate an [`Experiment`]: the discrete-event engine (optionally
-//! distributed across concurrent schedulers, optionally profiled,
-//! optionally returning the final cluster), the analytic `Oracle` bound,
-//! and the analytic DVFS-only baseline. The four legacy entry points
-//! (`Experiment::run`, `run_detailed`, `run_profiled`,
-//! `run_dvfs_baseline`) were removed after their one-release deprecation
-//! window.
+//! profiled, optionally returning the final cluster), the analytic
+//! `Oracle` bound, and the analytic DVFS-only baseline. The experiment
+//! carries every simulation knob, the control plane's shape included;
+//! the builder adds only what to return and which evaluator to use.
 //!
 //! The builder validates the whole configuration up front:
 //! [`SimulationBuilder::build`] returns [`SimError::InvalidConfig`]
@@ -34,9 +32,10 @@
 //! ```
 
 use cluster::Cluster;
-use obs::{ProfileSummary, SpanSummary};
+use obs::SpanSummary;
 use power::DvfsModel;
 
+use crate::engine::DatacenterSim;
 use crate::{Experiment, SimError, SimReport};
 
 /// Builder for a validated, ready-to-run [`Simulation`].
@@ -63,9 +62,10 @@ impl SimulationBuilder {
         }
     }
 
-    /// Enables wall-clock phase profiling; the profile comes back in
-    /// [`SimOutput::profile`], out-of-band of the bit-deterministic
-    /// report. Incompatible with the analytic (Oracle/DVFS) modes.
+    /// Enables wall-clock span profiling; the span tree comes back in
+    /// [`SimOutput::spans`] (and in the trace's `run-summary` record),
+    /// out-of-band of the bit-deterministic report. Incompatible with the
+    /// analytic (Oracle/DVFS) modes.
     pub fn profiling(mut self, enable: bool) -> Self {
         self.profiling = enable;
         self
@@ -79,38 +79,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the consolidation planning mode on the wrapped experiment
-    /// — convenience for callers that only hold the builder. See
-    /// [`Experiment::plan_mode`].
-    pub fn plan_mode(mut self, mode: agile_core::PlanMode) -> Self {
-        self.experiment = self.experiment.plan_mode(mode);
-        self
-    }
-
-    /// Runs the distributed control plane with `count` concurrent
-    /// schedulers — convenience for callers that only hold the builder.
-    /// See [`Experiment::schedulers`]. [`build`](Self::build) rejects
-    /// `0`, more schedulers than hosts, and any combination with the
-    /// analytic (Oracle/DVFS) modes.
-    pub fn schedulers(mut self, count: usize) -> Self {
-        self.experiment = self.experiment.schedulers(count);
-        self
-    }
-
-    /// Sets the remote-partition view staleness in control rounds. See
-    /// [`Experiment::view_staleness`].
-    pub fn view_staleness(mut self, rounds: usize) -> Self {
-        self.experiment = self.experiment.view_staleness(rounds);
-        self
-    }
-
-    /// Sets the plan-to-commit control-loop latency in control rounds.
-    /// See [`Experiment::control_latency`].
-    pub fn control_latency(mut self, rounds: usize) -> Self {
-        self.experiment = self.experiment.control_latency(rounds);
-        self
-    }
-
     /// Evaluates the analytic DVFS-only baseline instead of the event
     /// loop: every host stays on and clocks down to the lowest
     /// sufficient frequency. The experiment's policy is ignored.
@@ -121,7 +89,7 @@ impl SimulationBuilder {
 
     /// Builds and runs in one step, returning just the report — the
     /// common case for sweeps that want neither the cluster nor the
-    /// profile.
+    /// span tree.
     ///
     /// # Errors
     ///
@@ -138,17 +106,18 @@ impl SimulationBuilder {
     /// [`SimError::InvalidConfig`] for an inconsistent configuration
     /// (zero horizon, control interval longer than the horizon, invalid
     /// manager thresholds, zero schedulers or more schedulers than hosts,
-    /// or cluster/profile capture or schedulers requested from an
-    /// analytic mode);
+    /// or cluster capture, profiling or a control plane other than the
+    /// default one requested from an analytic mode);
     /// [`SimError::InitialPlacement`] / [`SimError::TraceIo`] as for the
     /// engine.
     pub fn build(self) -> Result<Simulation, SimError> {
         let invalid = |message: String| SimError::InvalidConfig { message };
-        let horizon = self.experiment.horizon_duration();
+        let experiment = &self.experiment;
+        let horizon = experiment.horizon;
         if horizon.as_secs_f64() <= 0.0 {
             return Err(invalid("horizon must be non-zero".to_string()));
         }
-        let interval = self.experiment.resolved_interval();
+        let interval = experiment.resolved_interval();
         if interval.as_secs_f64() <= 0.0 {
             return Err(invalid("control interval must be non-zero".to_string()));
         }
@@ -157,14 +126,17 @@ impl SimulationBuilder {
                 "control interval ({interval}) exceeds the horizon ({horizon})"
             )));
         }
-        self.experiment
+        experiment
             .resolve_config()
             .try_validate()
             .map_err(|e| invalid(format!("manager config: {e}")))?;
+        let schedulers = experiment.schedulers;
+        let default_plane =
+            schedulers == 1 && experiment.view_staleness == 0 && experiment.control_latency == 0;
 
         let analytic = if self.dvfs.is_some() {
             Some("the DVFS baseline")
-        } else if self.experiment.is_oracle() {
+        } else if experiment.is_oracle() {
             Some("the Oracle policy")
         } else {
             None
@@ -176,7 +148,7 @@ impl SimulationBuilder {
             if self.profiling {
                 return Err(invalid(format!("{mode} has no event loop to profile")));
             }
-            if self.experiment.control_plane_knobs().is_some() {
+            if !default_plane {
                 return Err(invalid(format!("{mode} has no schedulers to distribute")));
             }
             let inner = match self.dvfs {
@@ -191,14 +163,21 @@ impl SimulationBuilder {
             return Ok(Simulation { inner });
         }
 
-        let mut sim = self.experiment.build_sim()?;
-        if self.profiling {
-            sim.enable_profiling();
+        if schedulers == 0 {
+            return Err(invalid(
+                "control plane needs at least one scheduler".to_string(),
+            ));
         }
+        let num_hosts = experiment.scenario.host_specs().len();
+        if schedulers > num_hosts {
+            return Err(invalid(format!(
+                "more schedulers ({schedulers}) than hosts ({num_hosts})"
+            )));
+        }
+        let sim = DatacenterSim::new(experiment, self.profiling)?;
         Ok(Simulation {
             inner: SimKind::Engine {
                 sim: Box::new(sim),
-                profiling: self.profiling,
                 capture_cluster: self.capture_cluster,
             },
         })
@@ -217,8 +196,7 @@ pub struct Simulation {
 enum SimKind {
     Engine {
         /// Boxed: the engine is much larger than the analytic variants.
-        sim: Box<crate::DatacenterSim>,
-        profiling: bool,
+        sim: Box<DatacenterSim>,
         capture_cluster: bool,
     },
     Oracle {
@@ -241,27 +219,23 @@ impl Simulation {
         match self.inner {
             SimKind::Engine {
                 sim,
-                profiling,
                 capture_cluster,
             } => {
-                let (report, cluster, profile, spans) = sim.run_inner()?;
+                let (report, cluster, spans) = sim.run_inner()?;
                 Ok(SimOutput {
                     report,
                     cluster: capture_cluster.then_some(cluster),
-                    profile: profiling.then_some(profile),
                     spans,
                 })
             }
             SimKind::Oracle { experiment } => Ok(SimOutput {
                 report: experiment.run_oracle(),
                 cluster: None,
-                profile: None,
                 spans: None,
             }),
             SimKind::Dvfs { experiment, model } => Ok(SimOutput {
                 report: experiment.dvfs_report(&model),
                 cluster: None,
-                profile: None,
                 spans: None,
             }),
         }
@@ -269,7 +243,7 @@ impl Simulation {
 }
 
 /// Everything a run can produce. The report is always present; the
-/// cluster and profile appear only when requested on the builder.
+/// cluster and the span tree appear only when requested on the builder.
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct SimOutput {
@@ -278,11 +252,8 @@ pub struct SimOutput {
     /// The final cluster, when built with
     /// [`SimulationBuilder::capture_cluster`].
     pub cluster: Option<Cluster>,
-    /// The wall-clock phase profile, when built with
-    /// [`SimulationBuilder::profiling`].
-    pub profile: Option<ProfileSummary>,
-    /// The full hierarchical span summary (per-phase attribution down to
-    /// `candidate_scan`/`trial`/`undo`), when built with
+    /// The wall-clock span tree (the tick phases at depth 1, attributed
+    /// down to `candidate_scan`/`trial`/`undo`), exactly when built with
     /// [`SimulationBuilder::profiling`].
     pub spans: Option<SpanSummary>,
 }
@@ -309,7 +280,7 @@ mod tests {
             .unwrap();
         assert!(out.report.energy_j > 0.0);
         assert!(out.cluster.is_none());
-        assert!(out.profile.is_none());
+        assert!(out.spans.is_none());
     }
 
     #[test]
@@ -323,7 +294,7 @@ mod tests {
             .unwrap();
         let cluster = out.cluster.expect("requested cluster");
         assert!(cluster.placement().check_invariants());
-        assert!(out.profile.is_some());
+        assert!(out.spans.is_some());
     }
 
     #[test]
@@ -384,85 +355,40 @@ mod tests {
     }
 
     #[test]
-    fn control_plane_knobs_are_validated() {
-        let err = SimulationBuilder::new(experiment(10))
-            .schedulers(0)
+    fn control_plane_shape_is_validated() {
+        let err = SimulationBuilder::new(experiment(10).schedulers(0))
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("at least one scheduler"), "{err}");
         // small_test has 4 hosts.
-        let err = SimulationBuilder::new(experiment(10))
-            .schedulers(5)
+        let err = SimulationBuilder::new(experiment(10).schedulers(5))
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("more schedulers"), "{err}");
+        assert!(SimulationBuilder::new(experiment(10).schedulers(4))
+            .build()
+            .is_ok());
         let e = Experiment::new(Scenario::small_test(10)).policy(PowerPolicy::oracle());
-        let err = SimulationBuilder::new(e).schedulers(2).build().unwrap_err();
-        assert!(err.to_string().contains("no schedulers"), "{err}");
-        let err = SimulationBuilder::new(experiment(10))
-            .dvfs_baseline(power::DvfsModel::typical_2013())
-            .view_staleness(1)
+        let err = SimulationBuilder::new(e.clone().schedulers(2))
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("no schedulers"), "{err}");
-    }
-
-    /// A managed 4-host simulator (`small_test`), straight from the engine.
-    fn managed_sim() -> crate::DatacenterSim {
-        let e = experiment(12);
-        let s = e.scenario();
-        let manager = agile_core::VirtManager::new(
-            ManagerConfig::new(PowerPolicy::reactive_suspend()),
-            s.host_specs().len(),
-            s.fleet().len(),
-        );
-        crate::DatacenterSim::new(
-            s,
-            Some(manager),
-            s.demand_step(),
-            SimDuration::from_hours(2),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn set_control_plane_rejects_zero_schedulers() {
-        let err = managed_sim().set_control_plane(0, 0, 0).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("at least one scheduler"), "{err}");
-    }
-
-    #[test]
-    fn set_control_plane_rejects_more_schedulers_than_hosts() {
-        let mut sim = managed_sim();
-        let err = sim.set_control_plane(5, 0, 0).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("more schedulers"), "{err}");
-        // The rejected call left the default plane in place.
-        assert!(sim.set_control_plane(4, 0, 0).is_ok());
-    }
-
-    #[test]
-    fn set_control_plane_rejects_an_unmanaged_simulator() {
-        let s = Scenario::small_test(13);
-        let mut sim =
-            crate::DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(2))
-                .unwrap();
-        let err = sim.set_control_plane(1, 0, 0).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("managed simulator"), "{err}");
+        // The default plane is no plane request: the Oracle accepts it.
+        assert!(SimulationBuilder::new(e.schedulers(1)).build().is_ok());
+        let err = SimulationBuilder::new(experiment(10).view_staleness(1))
+            .dvfs_baseline(power::DvfsModel::typical_2013())
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("no schedulers"), "{err}");
     }
 
     #[test]
     fn distributed_build_runs() {
-        let out = SimulationBuilder::new(experiment(11))
+        let e = experiment(11)
             .schedulers(2)
             .view_staleness(1)
-            .control_latency(1)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
+            .control_latency(1);
+        let out = SimulationBuilder::new(e).build().unwrap().run().unwrap();
         assert!(out.report.energy_j > 0.0);
         let planned = out.report.metrics.counter("work.commit.planned");
         assert!(planned > 0, "distributed run must have planned actions");

@@ -7,7 +7,7 @@ use agile_core::{
     schedview, ClusterObservation, HostObservation, ManagementAction, PlacementFacts,
     PlacementStore, RoundStats, VirtManager, VmObservation,
 };
-use cluster::{AccountingMode, Cluster, ClusterError, DemandOutcome, HostId, VmId};
+use cluster::{Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
 use simcore::{pool, EventQueue, SimDuration, SimTime};
 use workload::DemandTable;
@@ -15,8 +15,8 @@ use workload::DemandTable;
 use crate::events::{EventKind, EventRecord};
 use crate::metrics::MetricsCollector;
 use crate::trace::{self, SimTelemetry};
-use crate::{FailureModel, Scenario, SimError, SimReport};
-use obs::{NullSink, ProfileSummary, SpanName, SpanSummary, SpanTracer, TraceSink};
+use crate::{Experiment, FailureModel, SimError, SimReport};
+use obs::{JsonlSink, NullSink, SpanName, SpanSummary, SpanTracer, TraceSink};
 use power::TransitionKind;
 use simcore::RngStream;
 use workload::Lifetime;
@@ -39,8 +39,9 @@ enum Event {
 /// The distributed control plane: N scheduler replicas over fixed host
 /// partitions, a conflict-checked placement store, and the staleness /
 /// control-latency machinery (see `DESIGN.md`, "Distributed control
-/// plane").
-#[derive(Debug)]
+/// plane"). The `Default` plane is empty: it only stands in while
+/// `DatacenterSim::control_round` has the real one taken out.
+#[derive(Debug, Default)]
 struct ControlPlane {
     /// One planner replica per partition, in partition order. Each plans
     /// over the whole fleet from its own merged view; the ownership
@@ -184,11 +185,8 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
     out
 }
 
-/// The datacenter simulator.
-///
-/// Most callers should use [`crate::Experiment`]; `DatacenterSim` is the
-/// lower-level API for drivers that need custom instrumentation (e.g.
-/// per-host power traces).
+/// The datacenter simulator, built once per run by
+/// [`crate::SimulationBuilder::build`].
 ///
 /// Each control tick the simulator (1) applies the fleet's demand to the
 /// cluster, (2) records metrics, (3) hands the control plane's schedulers
@@ -198,16 +196,14 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
 /// the world moved since the manager planned) are counted as failures,
 /// not errors — exactly how a real management plane behaves.
 #[derive(Debug)]
-pub struct DatacenterSim {
+pub(crate) struct DatacenterSim {
     cluster: Cluster,
     /// Every VM's demand fraction, sample-major (one row per trace step).
     demand: DemandTable,
     vm_caps: Vec<f64>,
-    /// The control plane every managed run commits through: one fresh
-    /// scheduler by default, reshaped by
-    /// [`set_control_plane`](Self::set_control_plane). `None` runs an
-    /// unmanaged cluster.
-    control: Option<ControlPlane>,
+    /// The control plane every run commits through, at the experiment's
+    /// scheduler count, view staleness and control latency.
+    control: ControlPlane,
     queue: EventQueue<Event>,
     control_interval: SimDuration,
     horizon: SimDuration,
@@ -229,13 +225,20 @@ pub struct DatacenterSim {
     lifetimes: Vec<Lifetime>,
     placement_retries: u64,
     rejected_admissions: u64,
+    /// The audit log (see [`crate::events`]), when the experiment records
+    /// events; entries land in [`SimReport::events`].
     event_log: Option<Vec<EventRecord>>,
+    /// Trace records (power transitions, migrations, VM lifecycle,
+    /// manager decisions, and one final `run-summary`) stream here;
+    /// [`NullSink`] unless the experiment names a trace path.
     sink: Box<dyn TraceSink>,
     telemetry: SimTelemetry,
     /// Hierarchical wall-clock tracer. Top-level spans are the tick
     /// phases (`demand`/`observe`/`plan`/`execute`/`dispatch`); the
     /// manager and the action executor nest their sub-steps beneath
-    /// them. Disabled by default — one branch per enter/exit.
+    /// them. Disabled unless profiling — one branch per enter/exit. The
+    /// numbers only ever leave through the `run-summary` trace record and
+    /// the out-of-band span summary, never the bit-deterministic report.
     tracer: SpanTracer,
     s_demand: SpanName,
     s_observe: SpanName,
@@ -254,23 +257,21 @@ pub struct DatacenterSim {
 }
 
 impl DatacenterSim {
-    /// Builds the simulator and performs the initial VM placement
-    /// (round-robin across hosts, memory-checked).
+    /// Builds the simulator for a validated `experiment` and performs the
+    /// initial VM placement (round-robin across hosts, memory-checked).
+    /// `profiling` turns the span tracer on.
     ///
-    /// A managed simulator plans with one scheduler over the whole fleet
-    /// (fresh view, same-tick commit) through the placement store;
-    /// `manager: None` runs an unmanaged cluster (used by calibration
-    /// drivers).
+    /// The caller has validated the experiment, including
+    /// `1 <= schedulers <= hosts`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InitialPlacement`] if any VM fits on no host.
-    pub fn new(
-        scenario: &Scenario,
-        manager: Option<VirtManager>,
-        control_interval: SimDuration,
-        horizon: SimDuration,
-    ) -> Result<Self, SimError> {
+    /// [`SimError::InitialPlacement`] if any VM fits on no host;
+    /// [`SimError::TraceIo`] if the trace file cannot be created.
+    pub(crate) fn new(experiment: &Experiment, profiling: bool) -> Result<Self, SimError> {
+        let scenario = &experiment.scenario;
+        let horizon = experiment.horizon;
+        let control_interval = experiment.resolved_interval();
         let mut cluster = Cluster::new(
             scenario.host_specs().to_vec(),
             scenario.fleet().vm_specs().to_vec(),
@@ -278,13 +279,20 @@ impl DatacenterSim {
         );
         let lifetimes = scenario.fleet().lifetimes().lifetimes().to_vec();
         place_round_robin(&mut cluster, &lifetimes)?;
+        cluster.set_accounting_mode(experiment.accounting);
 
-        let policy_label = manager
-            .as_ref()
-            .map(|m| m.config().policy().label().to_string())
-            .unwrap_or_else(|| "Unmanaged".to_string());
+        let sink: Box<dyn TraceSink> = match &experiment.trace_path {
+            Some(path) => Box::new(JsonlSink::create(path).map_err(|e| SimError::TraceIo {
+                path: path.display().to_string(),
+                message: e.to_string(),
+            })?),
+            None => Box::new(NullSink),
+        };
 
         let mut tracer = SpanTracer::new();
+        if profiling {
+            tracer.enable();
+        }
         let s_demand = tracer.name("demand");
         let s_observe = tracer.name("observe");
         let s_plan = tracer.name("plan");
@@ -309,8 +317,18 @@ impl DatacenterSim {
             }
         }
 
+        let config = experiment.resolve_config();
+        let policy_label = config.policy().label().to_string();
         let num_hosts = cluster.num_hosts();
-        let control = manager.map(|m| ControlPlane::new(m, 1, 0, 0, num_hosts, cluster.num_vms()));
+        let num_vms = cluster.num_vms();
+        let control = ControlPlane::new(
+            VirtManager::new(config, num_hosts, num_vms),
+            experiment.schedulers,
+            experiment.view_staleness,
+            experiment.control_latency,
+            num_hosts,
+            num_vms,
+        );
         Ok(DatacenterSim {
             cluster,
             demand: DemandTable::build(scenario.fleet().traces(), horizon),
@@ -328,7 +346,7 @@ impl DatacenterSim {
             scenario_name: scenario.name().to_string(),
             seed: scenario.seed(),
             policy_label,
-            failures: FailureModel::none(),
+            failures: experiment.failures,
             // Each injection kind draws from its own substream (created
             // unconditionally) so enabling one knob never perturbs the
             // draw positions of another — and a knob at zero consumes no
@@ -342,8 +360,8 @@ impl DatacenterSim {
             lifetimes,
             placement_retries: 0,
             rejected_admissions: 0,
-            event_log: None,
-            sink: Box::new(NullSink),
+            event_log: experiment.record_events.then(Vec::new),
+            sink,
             telemetry: SimTelemetry::new(),
             tracer,
             s_demand,
@@ -360,45 +378,6 @@ impl DatacenterSim {
         })
     }
 
-    /// Selects the cluster's accounting mode (see
-    /// [`cluster::AccountingMode`]); the default is incremental. `Scan`
-    /// is the O(hosts)-per-query reference used by determinism tests.
-    pub fn set_accounting_mode(&mut self, mode: AccountingMode) {
-        self.cluster.set_accounting_mode(mode);
-    }
-
-    /// Enables the audit log (see [`crate::events`]); entries land in
-    /// [`SimReport::events`]. Off by default.
-    pub fn enable_event_log(&mut self) {
-        if self.event_log.is_none() {
-            self.event_log = Some(Vec::new());
-        }
-    }
-
-    /// Streams trace records into `sink` (power transitions, migrations,
-    /// VM lifecycle, manager decisions, and one final `run-summary`).
-    /// Defaults to [`obs::NullSink`], which costs one branch per event.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = sink;
-    }
-
-    /// The trace sink, e.g. to read counts back after a run.
-    pub fn trace_sink(&self) -> &dyn TraceSink {
-        self.sink.as_ref()
-    }
-
-    /// Turns on wall-clock span tracing: the tick phases
-    /// (`demand`/`observe`/`plan`/`execute`/`dispatch`) plus the nested
-    /// sub-steps the manager records under `plan`
-    /// (`rescore`/`overload`/`consolidate` > `candidate_scan`/`trial` >
-    /// `undo`/...) and the executor records under `execute`
-    /// (`migration`/`power`). The numbers only ever leave through the
-    /// `run-summary` trace record and the out-of-band profile/span
-    /// summaries — never the report, which must stay bit-deterministic.
-    pub fn enable_profiling(&mut self) {
-        self.tracer.enable();
-    }
-
     fn log(&mut self, time: SimTime, kind: EventKind) {
         self.telemetry.count_event(&kind);
         if self.sink.enabled() {
@@ -409,78 +388,10 @@ impl DatacenterSim {
         }
     }
 
-    /// Enables power-transition fault injection (off by default).
-    pub fn set_failure_model(&mut self, failures: FailureModel) {
-        self.failures = failures;
-    }
-
-    /// Reshapes the control plane: `schedulers` planner replicas over
-    /// fixed contiguous host partitions, remote partitions observed
-    /// `staleness` control rounds late, and plans committing `latency`
-    /// rounds after they are computed — all arbitrated by a
-    /// conflict-checked [`PlacementStore`].
-    ///
-    /// The manager passed to [`new`](Self::new) is the replica template
-    /// (each replica starts from an identical clone). `schedulers = 1,
-    /// staleness = 0, latency = 0` is the default plane.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] on an unmanaged simulator,
-    /// `schedulers == 0`, or more schedulers than hosts; the simulator is
-    /// left unchanged.
-    pub fn set_control_plane(
-        &mut self,
-        schedulers: usize,
-        staleness: usize,
-        latency: usize,
-    ) -> Result<(), SimError> {
-        let invalid = |message: String| Err(SimError::InvalidConfig { message });
-        if self.control.is_none() {
-            return invalid("control plane requires a managed simulator".to_string());
-        }
-        if schedulers == 0 {
-            return invalid("control plane needs at least one scheduler".to_string());
-        }
-        let num_hosts = self.cluster.num_hosts();
-        if schedulers > num_hosts {
-            return invalid(format!(
-                "more schedulers ({schedulers}) than hosts ({num_hosts})"
-            ));
-        }
-        let plane = self.control.take().expect("checked managed above");
-        let template = plane
-            .schedulers
-            .into_iter()
-            .next()
-            .expect("non-empty plane");
-        self.control = Some(ControlPlane::new(
-            template,
-            schedulers,
-            staleness,
-            latency,
-            num_hosts,
-            self.cluster.num_vms(),
-        ));
-        Ok(())
-    }
-
-    /// Enables per-host power traces (memory-heavy; off by default).
-    pub fn enable_power_traces(&mut self) {
-        self.cluster.enable_power_traces();
-    }
-
-    /// Read access to the cluster (e.g. to pull host power traces after
-    /// a run captured it via `SimulationBuilder::capture_cluster`).
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Runs to the horizon and returns every output the engine produces:
-    /// the bit-deterministic report, the final cluster, the wall-clock
-    /// flat phase profile, and (when tracing was enabled) the full
-    /// hierarchical span summary. This is the single execution path
-    /// behind [`crate::SimulationBuilder`].
+    /// the bit-deterministic report, the final cluster, and (when
+    /// profiling) the hierarchical span summary. This is the single
+    /// execution path behind [`crate::SimulationBuilder`].
     ///
     /// # Errors
     ///
@@ -488,7 +399,7 @@ impl DatacenterSim {
     /// bugs; recoverable action rejections are counted in the report).
     pub(crate) fn run_inner(
         mut self,
-    ) -> Result<(SimReport, Cluster, ProfileSummary, Option<SpanSummary>), SimError> {
+    ) -> Result<(SimReport, Cluster, Option<SpanSummary>), SimError> {
         let end = SimTime::ZERO + self.horizon;
         self.generate_rack_bursts(end);
         while let Some(t) = self.queue.peek_time() {
@@ -544,7 +455,7 @@ impl DatacenterSim {
         // Unlike the wall-clock spans these are pure functions of the
         // scenario seed, so they may — must — enter the report: the
         // differential suite then verifies them like any other metric.
-        for m in self.control.iter().flat_map(|c| &c.schedulers) {
+        for m in &self.control.schedulers {
             for (name, value) in m.work_counters().entries() {
                 let id = self
                     .telemetry
@@ -562,40 +473,33 @@ impl DatacenterSim {
         }
         // Batches still aging in the latency queue at the horizon never
         // commit: count them expired so the commit ledger stays balanced.
-        if let Some(control) = &mut self.control {
-            while let Some(round) = control.pending.pop_front() {
-                for action in round.iter().flatten() {
-                    control.store.note_expired(action);
-                }
+        let control = &mut self.control;
+        while let Some(round) = control.pending.pop_front() {
+            for action in round.iter().flatten() {
+                control.store.note_expired(action);
             }
         }
-        if let Some(control) = &self.control {
-            let commit = control.store.stats();
-            debug_assert!(commit.is_balanced(), "commit ledger out of balance");
-            for (name, value) in commit.entries() {
-                let id = self
-                    .telemetry
-                    .registry
-                    .counter(&format!("work.commit.{name}"));
-                self.telemetry.registry.add(id, value);
-            }
-            // How many planners produced the ledger above; invariants use
-            // this to scale bounds that charge one unit of work per planner
-            // (e.g. index re-buckets per cluster dirty mark).
-            let id = self.telemetry.registry.counter("work.commit.schedulers");
-            self.telemetry
+        let commit = control.store.stats();
+        debug_assert!(commit.is_balanced(), "commit ledger out of balance");
+        for (name, value) in commit.entries() {
+            let id = self
+                .telemetry
                 .registry
-                .add(id, control.schedulers.len() as u64);
+                .counter(&format!("work.commit.{name}"));
+            self.telemetry.registry.add(id, value);
         }
+        // How many planners produced the ledger above; invariants use
+        // this to scale bounds that charge one unit of work per planner
+        // (e.g. index re-buckets per cluster dirty mark).
+        let id = self.telemetry.registry.counter("work.commit.schedulers");
+        self.telemetry
+            .registry
+            .add(id, control.schedulers.len() as u64);
         let dirty = self.telemetry.registry.counter("work.cluster.dirty_marks");
         self.telemetry
             .registry
             .add(dirty, self.cluster.dirty_marks());
-        let stats = self
-            .control
-            .as_ref()
-            .map(|c| fold_round_stats(&c.schedulers))
-            .unwrap_or_default();
+        let stats = fold_round_stats(&self.control.schedulers);
         let report = self.collector.finalize(
             self.scenario_name,
             self.policy_label,
@@ -618,15 +522,14 @@ impl DatacenterSim {
             self.event_log.take().unwrap_or_default(),
             self.telemetry.registry.snapshot(),
         );
-        let profile = self.tracer.flat_summary();
         let spans = self.tracer.is_enabled().then(|| self.tracer.summary());
         if self.sink.enabled() {
             self.sink
-                .emit(&trace::run_summary_json(&report, &profile, spans.as_ref()));
+                .emit(&trace::run_summary_json(&report, spans.as_ref()));
         }
         // Trace output is advisory; a failed flush must not fail the run.
         let _ = self.sink.flush();
-        Ok((report, self.cluster, profile, spans))
+        Ok((report, self.cluster, spans))
     }
 
     /// Completes (or fault-injects) a due power transition.
@@ -814,9 +717,7 @@ impl DatacenterSim {
         self.tracer.exit(self.s_demand);
 
         // 2. Management round.
-        if self.control.is_some() {
-            self.control_round(now);
-        }
+        self.control_round(now);
         self.collector
             .record_power(now, self.cluster.total_power_w());
         self.telemetry.registry.set(
@@ -836,7 +737,7 @@ impl DatacenterSim {
     /// subjects, queue the batches behind the control-loop latency, and
     /// commit the due round through the placement store's conflict check.
     fn control_round(&mut self, now: SimTime) {
-        let mut control = self.control.take().expect("caller checked");
+        let mut control = std::mem::take(&mut self.control);
 
         self.tracer.enter(self.s_observe);
         let mut obs = std::mem::take(&mut self.obs_buf);
@@ -924,7 +825,7 @@ impl DatacenterSim {
             self.tracer.exit(self.s_execute);
         }
 
-        self.control = Some(control);
+        self.control = control;
     }
 
     /// Hands one admitted action to the cluster, timing it and counting
@@ -1104,78 +1005,41 @@ fn place_round_robin(cluster: &mut Cluster, lifetimes: &[Lifetime]) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scenario;
     use agile_core::{ManagerConfig, PowerPolicy};
 
-    fn manager(policy: PowerPolicy, scenario: &Scenario) -> VirtManager {
-        VirtManager::new(
-            ManagerConfig::new(policy),
-            scenario.host_specs().len(),
-            scenario.fleet().len(),
-        )
+    /// `policy` with its bare [`ManagerConfig::new`] defaults (no fleet
+    /// scaling), ticking at the scenario's demand step for `hours`.
+    fn experiment(s: &Scenario, policy: PowerPolicy, hours: u64) -> Experiment {
+        Experiment::new(s.clone())
+            .manager_config(ManagerConfig::new(policy))
+            .horizon(SimDuration::from_hours(hours))
+    }
+
+    fn run(experiment: &Experiment) -> (SimReport, Cluster) {
+        let (report, cluster, _) = DatacenterSim::new(experiment, false)
+            .unwrap()
+            .run_inner()
+            .unwrap();
+        (report, cluster)
     }
 
     #[test]
-    fn unmanaged_run_integrates_energy() {
+    fn always_on_run_integrates_energy() {
         let s = Scenario::small_test(1);
-        let sim =
-            DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(2)).unwrap();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let (report, _) = run(&experiment(&s, PowerPolicy::always_on(), 2));
         assert!(report.energy_j > 0.0);
-        assert_eq!(report.policy, "Unmanaged");
+        assert_eq!(report.policy, "AlwaysOn");
         assert_eq!(report.migrations, 0);
         // All four hosts stay on the whole time.
         assert_eq!(report.avg_hosts_on, 4.0);
     }
 
     #[test]
-    fn always_on_matches_unmanaged_energy_closely() {
-        let s = Scenario::small_test(2);
-        let unmanaged = DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(4))
-            .unwrap()
-            .run_inner()
-            .map(|(r, _, _, _)| r)
-            .unwrap();
-        let managed = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::always_on(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(4),
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _, _)| r)
-        .unwrap();
-        // Base DRM may migrate a little, but energy should be within a few
-        // percent of the unmanaged cluster (all hosts stay on).
-        let ratio = managed.energy_j / unmanaged.energy_j;
-        assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
-        assert_eq!(managed.power_ups + managed.power_downs, 0);
-    }
-
-    #[test]
     fn suspend_policy_saves_energy_on_diurnal_load() {
         let s = Scenario::datacenter(8, 32, 3);
-        let horizon = SimDuration::from_hours(24);
-        let base = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::always_on(), &s)),
-            s.demand_step(),
-            horizon,
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _, _)| r)
-        .unwrap();
-        let pm = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            horizon,
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _, _)| r)
-        .unwrap();
+        let (base, _) = run(&experiment(&s, PowerPolicy::always_on(), 24));
+        let (pm, _) = run(&experiment(&s, PowerPolicy::reactive_suspend(), 24));
         assert!(
             pm.savings_vs(&base) > 0.15,
             "expected >15% savings, got {:.1}% (pm {:.1} kWh vs base {:.1} kWh)",
@@ -1210,7 +1074,7 @@ mod tests {
         let fleet = Fleet::from_parts(vms, traces);
         let s = Scenario::new("tiny", hosts, fleet, SimDuration::from_mins(5), 1);
         let err =
-            DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(1)).unwrap_err();
+            DatacenterSim::new(&experiment(&s, PowerPolicy::always_on(), 1), false).unwrap_err();
         assert!(matches!(err, SimError::InitialPlacement { .. }));
     }
 
@@ -1225,16 +1089,7 @@ mod tests {
             .filter(|l| l.departure.is_some())
             .count();
         assert!(transient > 5, "want real churn, got {transient}");
-        let (report, cluster) = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(24),
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, c, _, _)| (r, c))
-        .unwrap();
+        let (report, cluster) = run(&experiment(&s, PowerPolicy::reactive_suspend(), 24));
         assert!(report.energy_j > 0.0);
         // Departed VMs must not still be placed at the end.
         for (i, life) in s.fleet().lifetimes().lifetimes().iter().enumerate() {
@@ -1257,15 +1112,8 @@ mod tests {
     fn event_log_records_lifecycle() {
         use crate::events::EventKind;
         let s = Scenario::datacenter(4, 16, 8);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(6),
-        )
-        .unwrap();
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let plain = experiment(&s, PowerPolicy::reactive_suspend(), 6);
+        let (report, _) = run(&plain.clone().record_events());
         assert!(!report.events.is_empty());
         // Every started migration has a completion, in time order.
         let starts = report
@@ -1281,16 +1129,7 @@ mod tests {
         assert_eq!(starts, dones);
         assert!(report.events.windows(2).all(|w| w[0].time <= w[1].time));
         // Without enabling, the log stays empty.
-        let plain = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(6),
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _, _)| r)
-        .unwrap();
+        let (plain, _) = run(&plain);
         assert!(plain.events.is_empty());
     }
 
@@ -1312,8 +1151,7 @@ mod tests {
             VmSpec::new(Resources::new(1.0, 4.0)),
         ];
         let traces = vec![DemandTrace::from_samples(SimDuration::from_mins(5), vec![0.1]); 2];
-        let horizon = SimDuration::from_hours(1);
-        let late = SimTime::ZERO + horizon - SimDuration::from_mins(2);
+        let late = SimTime::ZERO + SimDuration::from_hours(1) - SimDuration::from_mins(2);
         let fleet =
             Fleet::from_parts(vms, traces).with_lifetime_plan(LifetimePlan::from_lifetimes(vec![
                 Lifetime::PERMANENT,
@@ -1323,9 +1161,7 @@ mod tests {
                 },
             ]));
         let s = Scenario::new("full-house", hosts, fleet, SimDuration::from_mins(5), 1);
-        let mut sim = DatacenterSim::new(&s, None, SimDuration::from_mins(5), horizon).unwrap();
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let (report, _) = run(&experiment(&s, PowerPolicy::always_on(), 1).record_events());
         // The silent-drop bug: previously this arrival vanished without a
         // trace. Now it is a counted, logged rejection.
         assert_eq!(report.rejected_admissions, 1);
@@ -1337,21 +1173,17 @@ mod tests {
         assert_eq!(report.metrics.counter("sim.vm.rejected"), 1);
     }
 
+    /// A day of reactive suspend on `s` under `failures`, audit log on.
+    fn faulty(s: &Scenario, failures: FailureModel) -> (SimReport, Cluster) {
+        run(&experiment(s, PowerPolicy::reactive_suspend(), 24)
+            .failure_model(failures)
+            .record_events())
+    }
+
     #[test]
     fn migration_failures_keep_vm_on_source_and_ledger_exact() {
         let s = Scenario::datacenter(6, 24, 11);
-        let mk = |p: f64| {
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(24),
-            )
-            .unwrap();
-            sim.set_failure_model(FailureModel::none().with_migration_failures(p));
-            sim.enable_event_log();
-            sim.run_inner().map(|(r, c, _, _)| (r, c)).unwrap()
-        };
+        let mk = |p: f64| faulty(&s, FailureModel::none().with_migration_failures(p));
         let (report, cluster) = mk(0.3);
         assert!(
             report.migration_failures > 0,
@@ -1373,16 +1205,7 @@ mod tests {
     #[test]
     fn hangs_stretch_transitions_and_always_fail() {
         let s = Scenario::datacenter(6, 24, 12);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(24),
-        )
-        .unwrap();
-        sim.set_failure_model(FailureModel::none().with_hangs(0.4, 8.0));
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let (report, _) = faulty(&s, FailureModel::none().with_hangs(0.4, 8.0));
         assert!(report.hung_transitions > 0, "p=0.4 must hang something");
         let stuck = report
             .events
@@ -1404,20 +1227,10 @@ mod tests {
     #[test]
     fn rack_bursts_fail_correlated_transitions() {
         let s = Scenario::datacenter(8, 32, 13);
-        let mut sim = DatacenterSim::new(
+        let (report, _) = faulty(
             &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(24),
-        )
-        .unwrap();
-        sim.set_failure_model(FailureModel::none().with_rack_bursts(
-            4,
-            0.05,
-            SimDuration::from_mins(30),
-        ));
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+            FailureModel::none().with_rack_bursts(4, 0.05, SimDuration::from_mins(30)),
+        );
         assert!(
             report.transition_failures > 0,
             "a day of 5%-per-epoch rack bursts must catch some transitions"
@@ -1434,21 +1247,14 @@ mod tests {
     fn injected_failures_are_bit_reproducible() {
         let run = || {
             let s = Scenario::datacenter_churn(6, 36, 0.5, 14);
-            let mut sim = DatacenterSim::new(
+            faulty(
                 &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(24),
-            )
-            .unwrap();
-            sim.set_failure_model(
                 FailureModel::new(0.1, 0.05)
                     .with_migration_failures(0.1)
                     .with_hangs(0.1, 4.0)
                     .with_rack_bursts(3, 0.02, SimDuration::from_mins(20)),
-            );
-            sim.enable_event_log();
-            sim.run_inner().map(|(r, _, _, _)| r).unwrap()
+            )
+            .0
         };
         let a = run();
         let b = run();
@@ -1461,22 +1267,9 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let run = || {
-            let s = Scenario::datacenter(4, 16, 9);
-            DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(6),
-            )
-            .unwrap()
-            .run_inner()
-            .map(|(r, _, _, _)| r)
-            .unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
+        let s = Scenario::datacenter(4, 16, 9);
+        let e = experiment(&s, PowerPolicy::reactive_suspend(), 6);
+        assert_eq!(run(&e).0, run(&e).0);
     }
 
     #[test]
@@ -1484,38 +1277,20 @@ mod tests {
         // With one scheduler the merge degenerates to the fresh view, so
         // any staleness setting reproduces the default plane.
         let s = Scenario::datacenter(6, 24, 23);
-        let horizon = SimDuration::from_hours(12);
-        let run = |staleness: usize| {
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                horizon,
-            )
-            .unwrap();
-            sim.set_control_plane(1, staleness, 0).unwrap();
-            sim.run_inner().map(|(r, _, _, _)| r).unwrap()
-        };
-        assert_eq!(run(0), run(5));
+        let e = experiment(&s, PowerPolicy::reactive_suspend(), 12);
+        assert_eq!(run(&e).0, run(&e.clone().view_staleness(5)).0);
     }
 
     #[test]
     fn multi_scheduler_plane_is_deterministic_and_ledger_balanced() {
-        let run = || {
-            let s = Scenario::datacenter(8, 32, 22);
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(24),
-            )
-            .unwrap();
-            sim.set_control_plane(4, 2, 1).unwrap();
-            sim.enable_event_log();
-            sim.run_inner().map(|(r, _, _, _)| r).unwrap()
-        };
-        let a = run();
-        let b = run();
+        let s = Scenario::datacenter(8, 32, 22);
+        let e = experiment(&s, PowerPolicy::reactive_suspend(), 24)
+            .schedulers(4)
+            .view_staleness(2)
+            .control_latency(1)
+            .record_events();
+        let (a, _) = run(&e);
+        let (b, _) = run(&e);
         assert_eq!(a, b);
         // The stale-view fleet still saves power...
         assert!(a.power_downs > 0, "stale schedulers must still park hosts");
@@ -1543,15 +1318,9 @@ mod tests {
         // latency = 1: the final tick's plan is still aging when the
         // horizon closes, so whatever it planned expires.
         let s = Scenario::datacenter(6, 24, 24);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(12),
-        )
-        .unwrap();
-        sim.set_control_plane(2, 0, 1).unwrap();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let (report, _) = run(&experiment(&s, PowerPolicy::reactive_suspend(), 12)
+            .schedulers(2)
+            .control_latency(1));
         let m = &report.metrics;
         assert_eq!(
             m.counter("work.commit.planned"),

@@ -12,9 +12,8 @@
 //! * [`Experiment`] — scenario × policy × horizon (*what* to simulate).
 //! * [`SimulationBuilder`] — the single entry point that validates and
 //!   runs an experiment (*how*: profiling, cluster capture, analytic
-//!   DVFS mode) and produces a [`SimOutput`].
-//! * [`DatacenterSim`] — the underlying event loop, for callers that need
-//!   custom instrumentation.
+//!   DVFS mode) and produces a [`SimOutput`]: the report, plus the final
+//!   cluster and the wall-clock span tree when asked for.
 //! * [`sweeps::SweepBuilder`] — the one sweep engine: axis values ×
 //!   legs × replication seeds, executed through the bounded worker pool
 //!   (wake latency, load proportionality, headroom, scale-out, ...).
@@ -53,7 +52,6 @@ pub mod sweeps;
 mod trace;
 
 pub use builder::{SimOutput, Simulation, SimulationBuilder};
-pub use engine::DatacenterSim;
 pub use error::SimError;
 pub use events::{EventKind, EventRecord};
 pub use failure::FailureModel;

@@ -2,21 +2,20 @@
 
 use std::path::PathBuf;
 
-use agile_core::{ManagerConfig, PlanMode, PowerPolicy, RoundStats, VirtManager};
+use agile_core::{ManagerConfig, PlanMode, PowerPolicy, RoundStats};
 use cluster::AccountingMode;
-use obs::{JsonlSink, MetricsSnapshot};
+use obs::MetricsSnapshot;
 use simcore::{SimDuration, SimTime};
 
 use crate::metrics::MetricsCollector;
-use crate::{DatacenterSim, FailureModel, Scenario, SimError, SimReport};
+use crate::{FailureModel, Scenario, SimReport};
 
 /// A configured simulation run: scenario × policy × horizon.
 ///
 /// `Experiment` describes *what* to simulate; hand it to
-/// [`crate::SimulationBuilder`] to choose *how* to run it (thread count,
-/// profiling, cluster capture) and to execute. The builder is the only
-/// entry point — the legacy `Experiment::run*` shims were removed after
-/// their one-release deprecation window.
+/// [`crate::SimulationBuilder`] to choose *how* to run it (profiling,
+/// cluster capture, analytic DVFS mode) and to execute. The builder is
+/// the only way to run an experiment.
 ///
 /// The [`PowerPolicy::Oracle`] policy is evaluated analytically — ideal
 /// consolidation with free transitions on the same hardware curves — and
@@ -49,18 +48,18 @@ use crate::{DatacenterSim, FailureModel, Scenario, SimError, SimReport};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    scenario: Scenario,
+    pub(crate) scenario: Scenario,
     config: ConfigSource,
-    horizon: SimDuration,
+    pub(crate) horizon: SimDuration,
     control_interval: Option<SimDuration>,
-    failures: FailureModel,
-    record_events: bool,
-    trace_path: Option<PathBuf>,
-    accounting: AccountingMode,
+    pub(crate) failures: FailureModel,
+    pub(crate) record_events: bool,
+    pub(crate) trace_path: Option<PathBuf>,
+    pub(crate) accounting: AccountingMode,
     plan_mode: Option<PlanMode>,
-    schedulers: Option<usize>,
-    view_staleness: Option<usize>,
-    control_latency: Option<usize>,
+    pub(crate) schedulers: usize,
+    pub(crate) view_staleness: usize,
+    pub(crate) control_latency: usize,
 }
 
 /// Where the manager configuration comes from: a bare policy gets
@@ -85,9 +84,9 @@ impl Experiment {
             trace_path: None,
             accounting: AccountingMode::default(),
             plan_mode: None,
-            schedulers: None,
-            view_staleness: None,
-            control_latency: None,
+            schedulers: 1,
+            view_staleness: 0,
+            control_latency: 0,
         }
     }
 
@@ -184,10 +183,11 @@ impl Experiment {
 
     /// Runs `count` concurrent scheduler replicas over fixed contiguous
     /// host partitions (default 1), every commit arbitrated by the shared
-    /// conflict-checked placement store. Ignored by the analytic
-    /// (`Oracle`/DVFS) paths — the builder rejects the combination.
+    /// conflict-checked placement store. The analytic (`Oracle`/DVFS)
+    /// paths have no schedulers: the builder rejects any plane other than
+    /// the default one there.
     pub fn schedulers(mut self, count: usize) -> Self {
-        self.schedulers = Some(count);
+        self.schedulers = count;
         self
     }
 
@@ -195,30 +195,15 @@ impl Experiment {
     /// many control rounds old (default 0 = fully fresh). Only visible
     /// with more than one scheduler.
     pub fn view_staleness(mut self, rounds: usize) -> Self {
-        self.view_staleness = Some(rounds);
+        self.view_staleness = rounds;
         self
     }
 
     /// Plans computed at tick `t` commit at tick `t + rounds` (default 0
     /// = same tick).
     pub fn control_latency(mut self, rounds: usize) -> Self {
-        self.control_latency = Some(rounds);
+        self.control_latency = rounds;
         self
-    }
-
-    /// The resolved control-plane knobs — `Some` iff any of them was set.
-    pub(crate) fn control_plane_knobs(&self) -> Option<(usize, usize, usize)> {
-        if self.schedulers.is_none()
-            && self.view_staleness.is_none()
-            && self.control_latency.is_none()
-        {
-            return None;
-        }
-        Some((
-            self.schedulers.unwrap_or(1),
-            self.view_staleness.unwrap_or(0),
-            self.control_latency.unwrap_or(0),
-        ))
     }
 
     /// The scenario under test.
@@ -239,39 +224,6 @@ impl Experiment {
             .unwrap_or_else(|| self.scenario.demand_step())
     }
 
-    /// The simulated horizon.
-    pub(crate) fn horizon_duration(&self) -> SimDuration {
-        self.horizon
-    }
-
-    pub(crate) fn build_sim(&self) -> Result<DatacenterSim, SimError> {
-        let interval = self
-            .control_interval
-            .unwrap_or_else(|| self.scenario.demand_step());
-        let manager = VirtManager::new(
-            self.resolve_config(),
-            self.scenario.host_specs().len(),
-            self.scenario.fleet().len(),
-        );
-        let mut sim = DatacenterSim::new(&self.scenario, Some(manager), interval, self.horizon)?;
-        if let Some((schedulers, staleness, latency)) = self.control_plane_knobs() {
-            sim.set_control_plane(schedulers, staleness, latency)?;
-        }
-        sim.set_accounting_mode(self.accounting);
-        sim.set_failure_model(self.failures);
-        if self.record_events {
-            sim.enable_event_log();
-        }
-        if let Some(path) = &self.trace_path {
-            let sink = JsonlSink::create(path).map_err(|e| SimError::TraceIo {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
-            sim.set_trace_sink(Box::new(sink));
-        }
-        Ok(sim)
-    }
-
     /// The analytic DVFS-only evaluation behind the builder's DVFS mode
     /// ([`crate::SimulationBuilder::dvfs_baseline`]): every host stays on
     /// and independently clocks down to the lowest sufficient frequency
@@ -280,9 +232,7 @@ impl Experiment {
     /// paper's platform low-power states are contrasted against.
     /// Serves everything (violations zero) since capacity never leaves.
     pub(crate) fn dvfs_report(&self, dvfs: &power::DvfsModel) -> SimReport {
-        let interval = self
-            .control_interval
-            .unwrap_or_else(|| self.scenario.demand_step());
+        let interval = self.resolved_interval();
         let hosts = self.scenario.host_specs();
         let num_hosts = hosts.len();
         let total_cap: f64 = hosts.iter().map(|h| h.capacity().cpu_cores).sum();
@@ -349,9 +299,7 @@ impl Experiment {
     /// instant. Works for heterogeneous fleets; for a uniform fleet it
     /// reduces to the classic ceil(demand/capacity) bound.
     pub(crate) fn run_oracle(&self) -> SimReport {
-        let interval = self
-            .control_interval
-            .unwrap_or_else(|| self.scenario.demand_step());
+        let interval = self.resolved_interval();
         let hosts = self.scenario.host_specs();
         let num_hosts = hosts.len();
         // Most efficient hosts first (capacity per peak watt).
@@ -498,17 +446,5 @@ mod tests {
             .run_report()
             .unwrap();
         assert_eq!(r.policy, "PM-Suspend(S3)");
-    }
-
-    #[test]
-    fn control_plane_knobs_default_to_unset() {
-        let e = Experiment::new(Scenario::small_test(5));
-        assert_eq!(e.control_plane_knobs(), None);
-        // Setting any one knob engages the distributed commit path with
-        // defaults for the others.
-        let e = e.view_staleness(2);
-        assert_eq!(e.control_plane_knobs(), Some((1, 2, 0)));
-        let e = e.schedulers(4).control_latency(1);
-        assert_eq!(e.control_plane_knobs(), Some((4, 2, 1)));
     }
 }

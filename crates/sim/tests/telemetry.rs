@@ -112,3 +112,41 @@ fn report_json_round_trips() {
     let reparsed = SimReport::from_json(&Json::parse(&json.to_string_compact()).unwrap()).unwrap();
     assert_eq!(reparsed, report);
 }
+
+/// The `run-summary` record of a traced run of `experiment(seed)`.
+fn run_summary(seed: u64, profiling: bool) -> Json {
+    let path = temp_trace(&format!("summary-{profiling}"));
+    let out = SimulationBuilder::new(experiment(seed).trace_path(&path))
+        .profiling(profiling)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(out.spans.is_some(), profiling);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let line = text
+        .lines()
+        .find(|l| l.contains("\"run-summary\""))
+        .expect("the trace ends with a run-summary");
+    Json::parse(line).unwrap()
+}
+
+#[test]
+fn run_summary_carries_spans_exactly_when_profiled() {
+    let profiled = run_summary(25, true);
+    let spans = obs::SpanSummary::from_json(profiled.get("spans").unwrap()).unwrap();
+    let phases: Vec<&str> = spans
+        .children_of("")
+        .iter()
+        .map(|s| s.name.as_str())
+        .collect();
+    for phase in ["demand", "observe", "plan", "execute", "dispatch"] {
+        assert!(phases.contains(&phase), "missing {phase} in {phases:?}");
+    }
+    let plain = run_summary(25, false);
+    assert_eq!(plain.get("spans"), Some(&Json::Null));
+    // The span tree is the only profile: no flat twin rides along.
+    assert!(profiled.get("profile").is_none());
+    assert!(plain.get("profile").is_none());
+}

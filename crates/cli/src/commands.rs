@@ -139,6 +139,11 @@ fn build_scenario(flags: &Flags) -> Result<Scenario, ArgError> {
         "spiky" => Ok(Scenario::datacenter_spiky(hosts, vms, seed)),
         "churn" => {
             let frac = flags.f64_or("churn", 0.3)?;
+            if !(0.0..=1.0).contains(&frac) {
+                return Err(ArgError(format!(
+                    "`--churn` must lie in [0, 1], got {frac}"
+                )));
+            }
             Ok(Scenario::datacenter_churn(hosts, vms, frac, seed))
         }
         "ladder" => Ok(Scenario::datacenter_ladder(hosts, vms, seed)),
@@ -205,10 +210,8 @@ fn run_stdout(args: &[String]) -> Result<String, Box<dyn Error>> {
     let mut experiment = configure(&flags, scenario, policy)?
         .plan_mode(plan_mode)
         .schedulers(flags.usize_or("schedulers", 1)?)
-        .view_staleness(flags.usize_or("staleness", 0)?);
-    if resume_fail > 0.0 {
-        experiment = experiment.failure_model(FailureModel::new(resume_fail, 0.0));
-    }
+        .view_staleness(flags.usize_or("staleness", 0)?)
+        .failure_model(FailureModel::new(resume_fail, 0.0));
     if flags.str_opt("events").is_some() {
         experiment = experiment.record_events();
     }
@@ -1045,5 +1048,32 @@ mod tests {
         ]))
         .expect("churn run succeeds");
         assert!(dispatch(&argv(&["run", "--workload", "bogus"])).is_err());
+        for cmd in ["run", "compare"] {
+            for frac in ["2", "-1"] {
+                let err = dispatch(&argv(&[cmd, "--workload", "churn", "--churn", frac]))
+                    .expect_err("churn outside [0, 1]");
+                let arg = err.downcast_ref::<ArgError>().expect("a usage error");
+                assert!(arg.0.contains("`--churn` must lie in [0, 1]"), "{}", arg.0);
+            }
+        }
+    }
+
+    #[test]
+    fn misuse_is_an_error_naming_the_knob() {
+        for (cmd, knob) in [
+            ("run --hosts 0", "scenario needs hosts"),
+            ("run --vms 0", "scenario needs VMs"),
+            ("run --resume-fail 1.0", "resume failure probability 1"),
+            ("run --resume-fail -0.5", "resume failure probability -0.5"),
+            ("compare --hosts 0", "scenario needs hosts"),
+            ("sweep --kind headroom --hosts 0", "scenario needs hosts"),
+        ] {
+            let err = dispatch(&argv(&cmd.split(' ').collect::<Vec<_>>())).expect_err(cmd);
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with("invalid simulation configuration: ") && msg.contains(knob),
+                "{cmd}: {msg}"
+            );
+        }
     }
 }

@@ -7,9 +7,11 @@ use simcore::SimDuration;
 
 use crate::{PlanMode, PredictorConfig, RecoveryConfig};
 
-/// A rejected configuration value, returned by the `try_with_*` builder
-/// variants on [`ManagerConfig`] and [`RecoveryConfig`] (the `with_*`
-/// builders panic with the same message instead).
+/// A rejected configuration value, returned by the `validate` methods of
+/// [`ManagerConfig`], [`RecoveryConfig`] and [`PredictorConfig`]. The
+/// `with_*` setters only store their value; `dcsim::SimulationBuilder::build`
+/// runs the validators and reports a failure as an invalid-configuration
+/// error.
 ///
 /// Marked `#[non_exhaustive]`: more variants may appear as knobs grow
 /// validation, so downstream matches need a wildcard arm.
@@ -66,6 +68,33 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// `Ok` when `ok` holds, else an [`ConfigError::OutOfRange`] naming `field`.
+pub(crate) fn require_range(
+    ok: bool,
+    field: &'static str,
+    value: f64,
+    constraint: &'static str,
+) -> Result<(), ConfigError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ConfigError::OutOfRange {
+            field,
+            value,
+            constraint,
+        })
+    }
+}
+
+/// `Ok` when `ok` holds, else a [`ConfigError::Invalid`] with `message`.
+pub(crate) fn require(ok: bool, message: &'static str) -> Result<(), ConfigError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ConfigError::Invalid { message })
+    }
+}
 
 /// How consolidation picks destinations when evacuating a host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -265,101 +294,27 @@ impl ManagerConfig {
     }
 
     /// Sets the consolidation headroom: the manager packs hosts up to this
-    /// predicted utilization.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < t <= 1` and `t` stays below the overload
-    /// threshold. [`try_with_target_utilization`](Self::try_with_target_utilization)
-    /// is the non-panicking variant.
-    pub fn with_target_utilization(self, t: f64) -> Self {
-        match self.try_with_target_utilization(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_target_utilization`](Self::with_target_utilization).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 < t <= 1`.
-    pub fn try_with_target_utilization(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(t > 0.0 && t <= 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "target",
-                value: t,
-                constraint: "outside (0,1]",
-            });
-        }
+    /// predicted utilization. Must satisfy `0 < t <= 1` and stay between
+    /// the underload and overload thresholds; checked by
+    /// [`validate`](Self::validate), which `SimulationBuilder::build` runs.
+    pub fn with_target_utilization(mut self, t: f64) -> Self {
         self.target_utilization = t;
-        Ok(self)
+        self
     }
 
-    /// Sets the DRM overload trigger.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < t <= 1.5` and it stays above the target.
-    /// [`try_with_overload_threshold`](Self::try_with_overload_threshold)
-    /// is the non-panicking variant.
-    pub fn with_overload_threshold(self, t: f64) -> Self {
-        match self.try_with_overload_threshold(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_overload_threshold`](Self::with_overload_threshold).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 < t <= 1.5`.
-    pub fn try_with_overload_threshold(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(t > 0.0 && t <= 1.5) {
-            return Err(ConfigError::OutOfRange {
-                field: "overload threshold",
-                value: t,
-                constraint: "out of range",
-            });
-        }
+    /// Sets the DRM overload trigger. Must satisfy `0 < t <= 1.5` and stay
+    /// above the target; checked by `SimulationBuilder::build`.
+    pub fn with_overload_threshold(mut self, t: f64) -> Self {
         self.overload_threshold = t;
-        Ok(self)
+        self
     }
 
     /// Sets the underload threshold below which a host becomes an
-    /// evacuation candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= t < 1` and it stays below the target.
-    /// [`try_with_underload_threshold`](Self::try_with_underload_threshold)
-    /// is the non-panicking variant.
-    pub fn with_underload_threshold(self, t: f64) -> Self {
-        match self.try_with_underload_threshold(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_underload_threshold`](Self::with_underload_threshold).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 <= t < 1`.
-    pub fn try_with_underload_threshold(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(0.0..1.0).contains(&t) {
-            return Err(ConfigError::OutOfRange {
-                field: "underload threshold",
-                value: t,
-                constraint: "out of range",
-            });
-        }
+    /// evacuation candidate. Must satisfy `0 <= t < 1` and stay below the
+    /// target; checked by `SimulationBuilder::build`.
+    pub fn with_underload_threshold(mut self, t: f64) -> Self {
         self.underload_threshold = t;
-        Ok(self)
+        self
     }
 
     /// Sets the minimum in-service residency before a host may be drained.
@@ -381,164 +336,47 @@ impl ManagerConfig {
         self
     }
 
-    /// Caps migrations emitted per management round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    /// [`try_with_max_migrations_per_round`](Self::try_with_max_migrations_per_round)
-    /// is the non-panicking variant.
-    pub fn with_max_migrations_per_round(self, n: usize) -> Self {
-        match self.try_with_max_migrations_per_round(n) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_max_migrations_per_round`](Self::with_max_migrations_per_round).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `n` is zero.
-    pub fn try_with_max_migrations_per_round(mut self, n: usize) -> Result<Self, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::Invalid {
-                message: "need at least one migration per round",
-            });
-        }
+    /// Caps migrations emitted per management round. Must be non-zero;
+    /// checked by `SimulationBuilder::build`.
+    pub fn with_max_migrations_per_round(mut self, n: usize) -> Self {
         self.max_migrations_per_round = n;
-        Ok(self)
+        self
     }
 
-    /// Caps hosts newly selected for draining per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    /// [`try_with_max_drains_per_round`](Self::try_with_max_drains_per_round)
-    /// is the non-panicking variant.
-    pub fn with_max_drains_per_round(self, n: usize) -> Self {
-        match self.try_with_max_drains_per_round(n) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_max_drains_per_round`](Self::with_max_drains_per_round).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `n` is zero.
-    pub fn try_with_max_drains_per_round(mut self, n: usize) -> Result<Self, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::Invalid {
-                message: "need at least one drain per round",
-            });
-        }
+    /// Caps hosts newly selected for draining per round. Must be non-zero;
+    /// checked by `SimulationBuilder::build`.
+    pub fn with_max_drains_per_round(mut self, n: usize) -> Self {
         self.max_drains_per_round = n;
-        Ok(self)
+        self
     }
 
     /// Sets the utilization spread (hottest minus coldest host) beyond
-    /// which DRM rebalances even without an overload.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < t <= 1`.
-    /// [`try_with_imbalance_threshold`](Self::try_with_imbalance_threshold)
-    /// is the non-panicking variant.
-    pub fn with_imbalance_threshold(self, t: f64) -> Self {
-        match self.try_with_imbalance_threshold(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_imbalance_threshold`](Self::with_imbalance_threshold).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 < t <= 1`.
-    pub fn try_with_imbalance_threshold(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(t > 0.0 && t <= 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "imbalance threshold",
-                value: t,
-                constraint: "out of range",
-            });
-        }
+    /// which DRM rebalances even without an overload. Must satisfy
+    /// `0 < t <= 1`; checked by `SimulationBuilder::build`.
+    pub fn with_imbalance_threshold(mut self, t: f64) -> Self {
         self.imbalance_threshold = t;
-        Ok(self)
+        self
     }
 
     /// Sets the drain dead-band: the surplus capacity (as a fraction of
     /// one host) that must exist *beyond* the wake trigger before a new
     /// drain starts. Zero disables the dead-band, leaving the hysteresis
     /// timers as the only flap damper (how experiment F11 isolates them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is negative or not finite.
-    /// [`try_with_drain_deadband`](Self::try_with_drain_deadband) is the
-    /// non-panicking variant.
-    pub fn with_drain_deadband(self, f: f64) -> Self {
-        match self.try_with_drain_deadband(f) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("bad {e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_drain_deadband`](Self::with_drain_deadband).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] if `f` is negative or not
-    /// finite.
-    pub fn try_with_drain_deadband(mut self, f: f64) -> Result<Self, ConfigError> {
-        if !(f.is_finite() && f >= 0.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "dead-band",
-                value: f,
-                constraint: "must be finite and non-negative",
-            });
-        }
+    /// Must be finite and non-negative; checked by
+    /// `SimulationBuilder::build`.
+    pub fn with_drain_deadband(mut self, f: f64) -> Self {
         self.drain_deadband_frac = f;
-        Ok(self)
+        self
     }
 
     /// Enables proactive pre-waking: capacity decisions also consider the
     /// learned time-of-day demand profile `lookahead` into the future, so
     /// slow boots can be started before a *recurring* ramp arrives.
-    /// Choose a lookahead at least as long as the wake transition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead` is zero.
-    /// [`try_with_prewake`](Self::try_with_prewake) is the non-panicking
-    /// variant.
-    pub fn with_prewake(self, lookahead: SimDuration) -> Self {
-        match self.try_with_prewake(lookahead) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_prewake`](Self::with_prewake).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `lookahead` is zero.
-    pub fn try_with_prewake(mut self, lookahead: SimDuration) -> Result<Self, ConfigError> {
-        if lookahead.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "lookahead must be non-zero",
-            });
-        }
+    /// Choose a lookahead at least as long as the wake transition. Must be
+    /// non-zero; checked by `SimulationBuilder::build`.
+    pub fn with_prewake(mut self, lookahead: SimDuration) -> Self {
         self.prewake_lookahead = Some(lookahead);
-        Ok(self)
+        self
     }
 
     /// Sets the consolidation packing policy.
@@ -547,20 +385,14 @@ impl ManagerConfig {
         self
     }
 
-    /// Sets the demand predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the predictor configuration is invalid.
+    /// Sets the demand predictor. [`validate`](Self::validate) checks it.
     pub fn with_predictor(mut self, p: PredictorConfig) -> Self {
-        p.validate();
         self.predictor = p;
         self
     }
 
     /// Sets the failure-recovery policy (bounded retries, quarantine,
-    /// fleet fail-safe). [`RecoveryConfig`]'s own builders validate the
-    /// individual knobs.
+    /// fleet fail-safe). [`validate`](Self::validate) checks it.
     pub fn with_recovery(mut self, r: RecoveryConfig) -> Self {
         self.recovery = r;
         self
@@ -574,29 +406,56 @@ impl ManagerConfig {
         self
     }
 
-    /// Checks the cross-field invariants (underload < target < overload).
-    /// [`crate::VirtManager::new`] calls this, so an inconsistent
-    /// configuration fails fast at manager construction rather than
-    /// mid-simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thresholds are not strictly ordered.
-    /// [`try_validate`](Self::try_validate) is the non-panicking variant.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible variant of [`validate`](Self::validate): checks the
-    /// cross-field invariants (underload < target < overload).
+    /// Checks every knob: the threshold, imbalance and dead-band ranges,
+    /// non-zero action caps and pre-wake lookahead, the predictor and
+    /// recovery configurations, and the strict ordering
+    /// underload < target < overload. `SimulationBuilder::build` runs
+    /// this before anything is simulated; [`crate::VirtManager::new`]
+    /// panics on its error.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Ordering`] if the thresholds are not
-    /// strictly ordered.
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
+    /// The first violated rule.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let t = self.target_utilization;
+        require_range(t > 0.0 && t <= 1.0, "target", t, "outside (0,1]")?;
+        let t = self.overload_threshold;
+        require_range(t > 0.0 && t <= 1.5, "overload threshold", t, "out of range")?;
+        let t = self.underload_threshold;
+        require_range(
+            (0.0..1.0).contains(&t),
+            "underload threshold",
+            t,
+            "out of range",
+        )?;
+        require(
+            self.max_migrations_per_round > 0,
+            "need at least one migration per round",
+        )?;
+        require(
+            self.max_drains_per_round > 0,
+            "need at least one drain per round",
+        )?;
+        let t = self.imbalance_threshold;
+        require_range(
+            t > 0.0 && t <= 1.0,
+            "imbalance threshold",
+            t,
+            "out of range",
+        )?;
+        let f = self.drain_deadband_frac;
+        require_range(
+            f.is_finite() && f >= 0.0,
+            "dead-band",
+            f,
+            "must be finite and non-negative",
+        )?;
+        require(
+            self.prewake_lookahead.is_none_or(|d| !d.is_zero()),
+            "prewake lookahead must be non-zero",
+        )?;
+        self.predictor.validate()?;
+        self.recovery.validate()?;
         if self.underload_threshold >= self.target_utilization {
             return Err(ConfigError::Ordering {
                 lower: "underload",
@@ -754,29 +613,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn imbalance_threshold_validated() {
-        let _ = ManagerConfig::new(PowerPolicy::always_on()).with_imbalance_threshold(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be below overload")]
-    fn target_above_overload_rejected() {
-        ManagerConfig::new(PowerPolicy::always_on())
-            .with_target_utilization(0.95)
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "must be below target")]
-    fn underload_above_target_rejected() {
-        ManagerConfig::new(PowerPolicy::always_on())
-            .with_underload_threshold(0.7)
-            .with_target_utilization(0.69)
-            .validate();
-    }
-
-    #[test]
     fn setter_order_does_not_matter() {
         // Lowering the target below the default underload is fine as long
         // as the final state is consistent.
@@ -784,6 +620,6 @@ mod tests {
             .with_target_utilization(0.5)
             .with_underload_threshold(0.3)
             .with_overload_threshold(0.9);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 }

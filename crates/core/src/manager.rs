@@ -114,10 +114,12 @@ impl VirtManager {
     ///
     /// # Panics
     ///
-    /// Panics if `config` violates its cross-field invariants (see
-    /// [`ManagerConfig::validate`]).
+    /// Panics if `config` is invalid (see [`ManagerConfig::validate`]).
+    /// `SimulationBuilder::build` reports the same error as a value.
     pub fn new(config: ManagerConfig, num_hosts: usize, num_vms: usize) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid manager configuration: {e}");
+        }
         let predictors = PredictorBank::new(config.predictor(), num_vms);
         let gate = HysteresisGate::new(config.min_on_time(), config.min_off_time(), num_hosts);
         let profile = config

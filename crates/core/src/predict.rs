@@ -11,7 +11,8 @@
 //! signal's state in flat columns and feeds all signals together, so a
 //! round is one streaming pass with no per-VM allocation or dispatch.
 
-use crate::VmObservation;
+use crate::config::{require, require_range};
+use crate::{ConfigError, VmObservation};
 
 /// Which prediction algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,19 +34,23 @@ pub enum PredictorConfig {
 }
 
 impl PredictorConfig {
-    /// Validates the configuration.
+    /// Checks the configuration. [`crate::ManagerConfig::validate`] runs
+    /// this, and `SimulationBuilder::build` runs that.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `alpha` is outside `(0, 1]` or `window` is zero.
-    pub fn validate(&self) {
+    /// [`ConfigError`] if `alpha` is outside `(0, 1]` or `window` is zero.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         match *self {
-            PredictorConfig::LastValue => {}
-            PredictorConfig::Ewma { alpha } => {
-                assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0, 1]");
-            }
+            PredictorConfig::LastValue => Ok(()),
+            PredictorConfig::Ewma { alpha } => require_range(
+                alpha > 0.0 && alpha <= 1.0,
+                "predictor alpha",
+                alpha,
+                "outside (0,1]",
+            ),
             PredictorConfig::WindowMax { window } => {
-                assert!(window > 0, "window must be positive");
+                require(window > 0, "predictor window must be positive")
             }
         }
     }
@@ -90,7 +95,9 @@ impl Predictor {
     /// Panics if the configuration is invalid (see
     /// [`PredictorConfig::validate`]).
     pub fn new(config: PredictorConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid predictor configuration: {e}");
+        }
         let state = match config {
             PredictorConfig::WindowMax { .. } => State::Window(Vec::new()),
             _ => State::Scalar(None),
@@ -156,14 +163,11 @@ pub(crate) struct PredictorBank {
 }
 
 impl PredictorBank {
-    /// A bank of `signals` predictors, none observed yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`PredictorConfig::validate`]).
+    /// A bank of `signals` predictors, none observed yet. The caller has
+    /// validated `config`: [`crate::VirtManager::new`] checks the whole
+    /// manager configuration first.
     pub(crate) fn new(config: PredictorConfig, signals: usize) -> Self {
-        config.validate();
+        debug_assert!(config.validate().is_ok(), "unvalidated {config:?}");
         let rows = match config {
             PredictorConfig::WindowMax { window } => window,
             _ => 1,

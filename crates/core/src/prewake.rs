@@ -10,8 +10,6 @@
 
 use simcore::{SimDuration, SimTime};
 
-use crate::ConfigError;
-
 /// An online time-of-day demand profile: EWMA of observed total demand
 /// per time-of-day bucket, learned across days.
 ///
@@ -43,44 +41,22 @@ impl DayProfile {
     /// # Panics
     ///
     /// Panics if `bucket_len` is zero, does not divide 24 h evenly, or
-    /// `alpha` is outside `(0, 1]`. [`try_new`](Self::try_new) is the
-    /// non-panicking variant.
+    /// `alpha` is outside `(0, 1]`.
     pub fn new(bucket_len: SimDuration, alpha: f64) -> Self {
-        match Self::try_new(bucket_len, alpha) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`new`](Self::new): rejects a zero bucket
-    /// length, a bucket length that does not divide 24 h evenly, and an
-    /// EWMA factor outside `(0, 1]`.
-    pub fn try_new(bucket_len: SimDuration, alpha: f64) -> Result<Self, ConfigError> {
-        if bucket_len.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "bucket length must be non-zero",
-            });
-        }
+        assert!(!bucket_len.is_zero(), "bucket length must be non-zero");
         let day_ms = SimDuration::from_hours(24).as_millis();
-        if !day_ms.is_multiple_of(bucket_len.as_millis()) {
-            return Err(ConfigError::Invalid {
-                message: "bucket length must divide 24 h evenly",
-            });
-        }
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "alpha",
-                value: alpha,
-                constraint: "outside (0,1]",
-            });
-        }
+        assert!(
+            day_ms.is_multiple_of(bucket_len.as_millis()),
+            "bucket length must divide 24 h evenly"
+        );
+        assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0,1]");
         let n = (day_ms / bucket_len.as_millis()) as usize;
-        Ok(DayProfile {
+        DayProfile {
             bucket_len,
             buckets: vec![0.0; n],
             seen: vec![false; n],
             alpha,
-        })
+        }
     }
 
     fn bucket_of(&self, t: SimTime) -> usize {
@@ -198,24 +174,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_each_rejection() {
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::ZERO, 0.5),
-            Err(ConfigError::Invalid { message }) if message.contains("non-zero")
-        ));
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::from_mins(7), 0.5),
-            Err(ConfigError::Invalid { message }) if message.contains("divide 24 h")
-        ));
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::from_mins(30), 0.0),
-            Err(ConfigError::OutOfRange { field: "alpha", .. })
-        ));
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::from_mins(30), 1.5),
-            Err(ConfigError::OutOfRange { field: "alpha", .. })
-        ));
-        assert!(DayProfile::try_new(SimDuration::from_mins(30), 1.0).is_ok());
+    #[should_panic(expected = "bucket length must be non-zero")]
+    fn rejects_zero_bucket() {
+        DayProfile::new(SimDuration::ZERO, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha 1.5 outside (0,1]")]
+    fn rejects_alpha_outside_unit_interval() {
+        DayProfile::new(SimDuration::from_mins(30), 1.5);
     }
 
     /// Regression: an observation at exactly `k·24 h` belongs to the

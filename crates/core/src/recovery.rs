@@ -32,6 +32,7 @@ use std::collections::VecDeque;
 
 use simcore::{SimDuration, SimTime};
 
+use crate::config::{require, require_range};
 use crate::{ClusterObservation, ConfigError};
 
 /// Knobs of the failure-recovery policy.
@@ -83,182 +84,89 @@ impl RecoveryConfig {
         }
     }
 
-    /// Sets the consecutive-failure count that quarantines a host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    /// [`try_with_max_retries`](Self::try_with_max_retries) is the
-    /// non-panicking variant.
-    pub fn with_max_retries(self, n: u32) -> Self {
-        match self.try_with_max_retries(n) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_max_retries`](Self::with_max_retries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `n` is zero.
-    pub fn try_with_max_retries(mut self, n: u32) -> Result<Self, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::Invalid {
-                message: "need at least one retry before quarantine",
-            });
-        }
+    /// Sets the consecutive-failure count that quarantines a host. Must be
+    /// non-zero; checked by [`validate`](Self::validate).
+    pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
-        Ok(self)
+        self
     }
 
-    /// Sets the exponential-backoff base and cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero or `cap < base`.
-    /// [`try_with_backoff`](Self::try_with_backoff) is the non-panicking
-    /// variant.
-    pub fn with_backoff(self, base: SimDuration, cap: SimDuration) -> Self {
-        match self.try_with_backoff(base, cap) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_backoff`](Self::with_backoff).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `base` is zero or `cap < base`.
-    pub fn try_with_backoff(
-        mut self,
-        base: SimDuration,
-        cap: SimDuration,
-    ) -> Result<Self, ConfigError> {
-        if base.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "backoff base must be non-zero",
-            });
-        }
-        if cap < base {
-            return Err(ConfigError::Invalid {
-                message: "backoff cap below base",
-            });
-        }
+    /// Sets the exponential-backoff base and cap. `base` must be non-zero
+    /// and `cap >= base`; checked by [`validate`](Self::validate).
+    pub fn with_backoff(mut self, base: SimDuration, cap: SimDuration) -> Self {
         self.backoff_base = base;
         self.backoff_cap = cap;
-        Ok(self)
+        self
     }
 
     /// Sets the health floor below which a host is quarantined and the
-    /// per-clean-round recovery increment.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both lie in `(0, 1)`.
-    /// [`try_with_health`](Self::try_with_health) is the non-panicking
-    /// variant.
-    pub fn with_health(self, floor: f64, recovery: f64) -> Self {
-        match self.try_with_health(floor, recovery) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_health`](Self::with_health).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless both lie in `(0, 1)`.
-    pub fn try_with_health(mut self, floor: f64, recovery: f64) -> Result<Self, ConfigError> {
-        if !(floor > 0.0 && floor < 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "health floor",
-                value: floor,
-                constraint: "outside (0,1)",
-            });
-        }
-        if !(recovery > 0.0 && recovery < 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "health recovery",
-                value: recovery,
-                constraint: "outside (0,1)",
-            });
-        }
+    /// per-clean-round recovery increment. Both must lie in `(0, 1)`;
+    /// checked by [`validate`](Self::validate).
+    pub fn with_health(mut self, floor: f64, recovery: f64) -> Self {
         self.health_floor = floor;
         self.health_recovery = recovery;
-        Ok(self)
+        self
     }
 
-    /// Sets the quarantine probation window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is zero.
-    /// [`try_with_probation`](Self::try_with_probation) is the
-    /// non-panicking variant.
-    pub fn with_probation(self, d: SimDuration) -> Self {
-        match self.try_with_probation(d) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_probation`](Self::with_probation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `d` is zero.
-    pub fn try_with_probation(mut self, d: SimDuration) -> Result<Self, ConfigError> {
-        if d.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "probation must be non-zero",
-            });
-        }
+    /// Sets the quarantine probation window. Must be non-zero; checked by
+    /// [`validate`](Self::validate).
+    pub fn with_probation(mut self, d: SimDuration) -> Self {
         self.probation = d;
-        Ok(self)
+        self
     }
 
     /// Sets the fleet fail-safe: trip after `trip` failures inside
-    /// `window`; clear when the window drains to `trip / 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or `trip` is zero.
-    /// [`try_with_failsafe`](Self::try_with_failsafe) is the non-panicking
-    /// variant.
-    pub fn with_failsafe(self, window: SimDuration, trip: u32) -> Self {
-        match self.try_with_failsafe(window, trip) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
+    /// `window`; clear when the window drains to `trip / 2`. Both must be
+    /// non-zero; checked by [`validate`](Self::validate).
+    pub fn with_failsafe(mut self, window: SimDuration, trip: u32) -> Self {
+        self.failsafe_window = window;
+        self.failsafe_trip = trip;
+        self
     }
 
-    /// Fallible variant of [`with_failsafe`](Self::with_failsafe).
+    /// Checks every knob: non-zero retries, backoff base, probation and
+    /// fail-safe window and trip; `backoff cap >= base`; health floor and
+    /// recovery inside `(0, 1)`. [`crate::ManagerConfig::validate`] runs this,
+    /// and `SimulationBuilder::build` runs that.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Invalid`] if `window` is zero or `trip` is
-    /// zero.
-    pub fn try_with_failsafe(
-        mut self,
-        window: SimDuration,
-        trip: u32,
-    ) -> Result<Self, ConfigError> {
-        if window.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "fail-safe window must be non-zero",
-            });
-        }
-        if trip == 0 {
-            return Err(ConfigError::Invalid {
-                message: "fail-safe trip threshold must be non-zero",
-            });
-        }
-        self.failsafe_window = window;
-        self.failsafe_trip = trip;
-        Ok(self)
+    /// The first violated rule.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        require(
+            self.max_retries > 0,
+            "need at least one retry before quarantine",
+        )?;
+        require(
+            !self.backoff_base.is_zero(),
+            "backoff base must be non-zero",
+        )?;
+        require(
+            self.backoff_cap >= self.backoff_base,
+            "backoff cap below base",
+        )?;
+        let (floor, recovery) = (self.health_floor, self.health_recovery);
+        require_range(
+            floor > 0.0 && floor < 1.0,
+            "health floor",
+            floor,
+            "outside (0,1)",
+        )?;
+        require_range(
+            recovery > 0.0 && recovery < 1.0,
+            "health recovery",
+            recovery,
+            "outside (0,1)",
+        )?;
+        require(!self.probation.is_zero(), "probation must be non-zero")?;
+        require(
+            !self.failsafe_window.is_zero(),
+            "fail-safe window must be non-zero",
+        )?;
+        require(
+            self.failsafe_trip > 0,
+            "fail-safe trip threshold must be non-zero",
+        )
     }
 
     /// Consecutive failures before quarantine.
@@ -695,11 +603,5 @@ mod tests {
     fn rejects_mismatched_observation() {
         let mut t = RecoveryTracker::new(RecoveryConfig::new(), 2);
         t.observe(&obs(SimTime::ZERO, &[0], &[PowerState::On]));
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff cap below base")]
-    fn rejects_inverted_backoff() {
-        let _ = RecoveryConfig::new().with_backoff(mins(10), mins(2));
     }
 }

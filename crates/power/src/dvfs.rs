@@ -8,7 +8,7 @@
 //! evaluation's DVFS-only baseline (experiment T22) shows frequency
 //! scaling alone cannot approach energy proportionality.
 
-use crate::{ConfigError, PowerCurve};
+use crate::PowerCurve;
 
 /// A DVFS operating point: relative frequency and the scale factor it
 /// applies to the *dynamic* (utilization-dependent) power component.
@@ -47,54 +47,34 @@ impl DvfsModel {
     ///
     /// # Panics
     ///
-    /// Panics on the inputs [`try_new`](Self::try_new) rejects.
+    /// Panics if `levels` is empty, frequencies are not strictly increasing
+    /// in `(0, 1]`, the top level is not nominal (1.0), or any power scale
+    /// is outside `(0, 1]`.
     pub fn new(levels: Vec<DvfsLevel>) -> Self {
-        Self::try_new(levels).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a model from operating points, rejecting bad inputs instead
-    /// of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if `levels` is empty, frequencies are not strictly
-    /// increasing in `(0, 1]`, the top level is not nominal (1.0), or any
-    /// power scale is outside `(0, 1]`.
-    pub fn try_new(levels: Vec<DvfsLevel>) -> Result<Self, ConfigError> {
-        if levels.is_empty() {
-            return Err(ConfigError::Invalid {
-                message: "need at least one DVFS level",
-            });
-        }
+        assert!(!levels.is_empty(), "need at least one DVFS level");
         for pair in levels.windows(2) {
-            if pair[0].freq_frac >= pair[1].freq_frac {
-                return Err(ConfigError::Invalid {
-                    message: "levels must be strictly increasing in frequency",
-                });
-            }
+            assert!(
+                pair[0].freq_frac < pair[1].freq_frac,
+                "levels must be strictly increasing in frequency"
+            );
         }
         for l in &levels {
-            if !(l.freq_frac > 0.0 && l.freq_frac <= 1.0) {
-                return Err(ConfigError::OutOfRange {
-                    field: "frequency fraction",
-                    value: l.freq_frac,
-                    constraint: "outside (0,1]",
-                });
-            }
-            if !(l.dyn_power_scale > 0.0 && l.dyn_power_scale <= 1.0) {
-                return Err(ConfigError::OutOfRange {
-                    field: "dynamic power scale",
-                    value: l.dyn_power_scale,
-                    constraint: "outside (0,1]",
-                });
-            }
+            assert!(
+                l.freq_frac > 0.0 && l.freq_frac <= 1.0,
+                "frequency fraction {} outside (0,1]",
+                l.freq_frac
+            );
+            assert!(
+                l.dyn_power_scale > 0.0 && l.dyn_power_scale <= 1.0,
+                "dynamic power scale {} outside (0,1]",
+                l.dyn_power_scale
+            );
         }
-        if levels.last().expect("non-empty").freq_frac != 1.0 {
-            return Err(ConfigError::Invalid {
-                message: "top level must be nominal frequency",
-            });
-        }
-        Ok(DvfsModel { levels })
+        assert!(
+            levels.last().expect("non-empty").freq_frac == 1.0,
+            "top level must be nominal frequency"
+        );
+        DvfsModel { levels }
     }
 
     /// A 2013-era server ladder: 40/60/80/100 % clocks with near-cubic
@@ -226,15 +206,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_each_rejection() {
-        use crate::ConfigError;
-        assert_eq!(
-            DvfsModel::try_new(vec![]).unwrap_err(),
-            ConfigError::Invalid {
-                message: "need at least one DVFS level"
-            }
-        );
-        let unordered = vec![
+    #[should_panic(expected = "need at least one DVFS level")]
+    fn rejects_empty_ladder() {
+        DvfsModel::new(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing in frequency")]
+    fn rejects_unordered_levels() {
+        DvfsModel::new(vec![
             DvfsLevel {
                 freq_frac: 0.8,
                 dyn_power_scale: 0.6,
@@ -243,22 +223,15 @@ mod tests {
                 freq_frac: 0.4,
                 dyn_power_scale: 0.3,
             },
-        ];
-        assert!(matches!(
-            DvfsModel::try_new(unordered).unwrap_err(),
-            ConfigError::Invalid { .. }
-        ));
-        let bad_scale = vec![DvfsLevel {
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dynamic power scale 1.5 outside (0,1]")]
+    fn rejects_power_scale_above_one() {
+        DvfsModel::new(vec![DvfsLevel {
             freq_frac: 1.0,
             dyn_power_scale: 1.5,
-        }];
-        assert!(matches!(
-            DvfsModel::try_new(bad_scale).unwrap_err(),
-            ConfigError::OutOfRange {
-                field: "dynamic power scale",
-                ..
-            }
-        ));
-        assert!(DvfsModel::try_new(DvfsModel::typical_2013().levels().to_vec()).is_ok());
+        }]);
     }
 }

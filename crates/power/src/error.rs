@@ -1,4 +1,4 @@
-//! Error types for power-state operations and model configuration.
+//! Error types for power-state operations.
 
 use std::error::Error;
 use std::fmt;
@@ -6,48 +6,6 @@ use std::fmt;
 use simcore::SimTime;
 
 use crate::{PowerState, TransitionKind};
-
-/// A rejected model-configuration value, returned by the `try_new`
-/// constructor variants on [`crate::HostPowerProfile`] and
-/// [`crate::DvfsModel`] (the panicking constructors are thin wrappers
-/// with the same message). Mirrors the `try_*` convention of
-/// `agile_core::ConfigError`, which this crate cannot depend on.
-///
-/// Marked `#[non_exhaustive]`: more variants may appear as the models
-/// grow validation, so downstream matches need a wildcard arm.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConfigError {
-    /// A scalar parameter is outside its allowed range.
-    OutOfRange {
-        /// Which parameter was rejected.
-        field: &'static str,
-        /// The rejected value.
-        value: f64,
-        /// The constraint it violated, e.g. `"must be finite and >= 0"`.
-        constraint: &'static str,
-    },
-    /// A structural constraint failed (empty ladder, unordered levels, …).
-    Invalid {
-        /// What was wrong, as a complete sentence fragment.
-        message: &'static str,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::OutOfRange {
-                field,
-                value,
-                constraint,
-            } => write!(f, "{field} {value} {constraint}"),
-            ConfigError::Invalid { message } => write!(f, "{message}"),
-        }
-    }
-}
-
-impl Error for ConfigError {}
 
 /// Errors returned by [`crate::PowerStateMachine`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

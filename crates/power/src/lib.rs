@@ -53,7 +53,7 @@ mod transition;
 pub use curve::PowerCurve;
 pub use dvfs::{DvfsLevel, DvfsModel};
 pub use energy::EnergyMeter;
-pub use error::{ConfigError, PowerError};
+pub use error::PowerError;
 pub use profile::{HostPowerProfile, LadderRung};
 pub use psu::PsuModel;
 pub use state::{PowerState, PowerStateMachine, StateResidency};

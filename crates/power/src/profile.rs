@@ -16,8 +16,7 @@ use simcore::SimDuration;
 
 use crate::breakeven::LowPowerMode;
 use crate::{
-    ConfigError, DvfsModel, PowerCurve, PowerState, PsuModel, TransitionKind, TransitionSpec,
-    TransitionTable,
+    DvfsModel, PowerCurve, PowerState, PsuModel, TransitionKind, TransitionSpec, TransitionTable,
 };
 
 /// One rung of a profile's power-state ladder, ordered shallow→deep:
@@ -61,7 +60,9 @@ impl HostPowerProfile {
     ///
     /// # Panics
     ///
-    /// Panics on the inputs [`try_new`](Self::try_new) rejects.
+    /// Panics if either low-power draw is negative/non-finite, or exceeds
+    /// the curve's idle power (a "low-power" state that draws more than
+    /// idle indicates a configuration error).
     pub fn new(
         name: impl Into<String>,
         curve: PowerCurve,
@@ -69,44 +70,19 @@ impl HostPowerProfile {
         off_power_w: f64,
         transitions: TransitionTable,
     ) -> Self {
-        Self::try_new(name, curve, suspend_power_w, off_power_w, transitions)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a custom profile, rejecting bad inputs instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if either low-power draw is negative/non-finite, or
-    /// exceeds the curve's idle power (a "low-power" state that draws more
-    /// than idle indicates a configuration error).
-    pub fn try_new(
-        name: impl Into<String>,
-        curve: PowerCurve,
-        suspend_power_w: f64,
-        off_power_w: f64,
-        transitions: TransitionTable,
-    ) -> Result<Self, ConfigError> {
-        if !suspend_power_w.is_finite() || suspend_power_w < 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "suspend power",
-                value: suspend_power_w,
-                constraint: "must be finite and >= 0",
-            });
-        }
-        if !off_power_w.is_finite() || off_power_w < 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "off power",
-                value: off_power_w,
-                constraint: "must be finite and >= 0",
-            });
-        }
-        if suspend_power_w > curve.idle_w() || off_power_w > curve.idle_w() {
-            return Err(ConfigError::Invalid {
-                message: "low-power draw exceeds idle draw",
-            });
-        }
-        Ok(HostPowerProfile {
+        assert!(
+            suspend_power_w.is_finite() && suspend_power_w >= 0.0,
+            "suspend power {suspend_power_w} must be finite and >= 0"
+        );
+        assert!(
+            off_power_w.is_finite() && off_power_w >= 0.0,
+            "off power {off_power_w} must be finite and >= 0"
+        );
+        assert!(
+            suspend_power_w <= curve.idle_w() && off_power_w <= curve.idle_w(),
+            "low-power draw exceeds idle draw"
+        );
+        HostPowerProfile {
             name: name.into(),
             curve,
             suspend_power_w,
@@ -115,7 +91,7 @@ impl HostPowerProfile {
             transitions,
             psu: None,
             dvfs: None,
-        })
+        }
     }
 
     /// Attaches a PSU conversion-loss model: all powers reported by
@@ -140,47 +116,26 @@ impl HostPowerProfile {
     ///
     /// # Panics
     ///
-    /// Panics on the inputs [`try_with_package_idle`](Self::try_with_package_idle)
-    /// rejects.
+    /// Panics if `power_w` is negative/non-finite or exceeds the curve's
+    /// idle power.
     pub fn with_package_idle(
-        self,
-        power_w: f64,
-        park: TransitionSpec,
-        unpark: TransitionSpec,
-    ) -> Self {
-        self.try_with_package_idle(power_w, park, unpark)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Adds the package-idle rung, rejecting bad inputs instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if `power_w` is negative/non-finite or exceeds the
-    /// curve's idle power.
-    pub fn try_with_package_idle(
         mut self,
         power_w: f64,
         park: TransitionSpec,
         unpark: TransitionSpec,
-    ) -> Result<Self, ConfigError> {
-        if !power_w.is_finite() || power_w < 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "package-idle power",
-                value: power_w,
-                constraint: "must be finite and >= 0",
-            });
-        }
-        if power_w > self.curve.idle_w() {
-            return Err(ConfigError::Invalid {
-                message: "low-power draw exceeds idle draw",
-            });
-        }
+    ) -> Self {
+        assert!(
+            power_w.is_finite() && power_w >= 0.0,
+            "package-idle power {power_w} must be finite and >= 0"
+        );
+        assert!(
+            power_w <= self.curve.idle_w(),
+            "low-power draw exceeds idle draw"
+        );
         self.name = format!("{}+c6", self.name);
         self.package_idle_power_w = Some(power_w);
         self.transitions = self.transitions.with_package_idle(park, unpark);
-        Ok(self)
+        self
     }
 
     /// Attaches a DVFS model: while `On`, the host is assumed to run at
@@ -631,45 +586,28 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_inputs() {
-        let table = || {
-            TransitionTable::without_suspend(
-                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
-                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
-            )
-        };
-        let err = HostPowerProfile::try_new(
+    #[should_panic(expected = "suspend power NaN must be finite and >= 0")]
+    fn rejects_non_finite_suspend_power() {
+        HostPowerProfile::new(
             "bad",
             PowerCurve::linear(100.0, 200.0),
             f64::NAN,
             5.0,
-            table(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, crate::ConfigError::OutOfRange { field, .. } if field.contains("suspend"))
-        );
-        let err =
-            HostPowerProfile::try_new("bad", PowerCurve::linear(100.0, 200.0), 5.0, 150.0, table())
-                .unwrap_err();
-        assert_eq!(
-            err,
-            crate::ConfigError::Invalid {
-                message: "low-power draw exceeds idle draw"
-            }
+            TransitionTable::without_suspend(
+                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
+                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
+            ),
         );
     }
 
     #[test]
-    fn try_with_package_idle_rejects_draw_above_idle() {
-        let err = HostPowerProfile::prototype_rack()
-            .try_with_package_idle(
-                200.0,
-                TransitionSpec::new(SimDuration::from_millis(500), 140.0),
-                TransitionSpec::new(SimDuration::from_secs(2), 180.0),
-            )
-            .unwrap_err();
-        assert!(matches!(err, crate::ConfigError::Invalid { .. }));
+    #[should_panic(expected = "low-power draw exceeds idle draw")]
+    fn rejects_package_idle_draw_above_idle() {
+        HostPowerProfile::prototype_rack().with_package_idle(
+            200.0,
+            TransitionSpec::new(SimDuration::from_millis(500), 140.0),
+            TransitionSpec::new(SimDuration::from_secs(2), 180.0),
+        );
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! carries every simulation knob, the control plane's shape included;
 //! the builder adds only what to return and which evaluator to use.
 //!
-//! The builder validates the whole configuration up front:
-//! [`SimulationBuilder::build`] returns [`SimError::InvalidConfig`]
-//! instead of panicking mid-run, so drivers can surface bad sweeps as
-//! errors.
+//! Configuration is validated once, here: the scenario, failure-model
+//! and manager setters only store their values, and
+//! [`SimulationBuilder::build`] checks them all, returning
+//! [`SimError::InvalidConfig`] instead of panicking mid-run, so drivers
+//! can surface bad sweeps and CLI input as errors.
 //!
 //! # Example
 //!
@@ -103,16 +104,34 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for an inconsistent configuration
-    /// (zero horizon, control interval longer than the horizon, invalid
-    /// manager thresholds, zero schedulers or more schedulers than hosts,
-    /// or cluster capture, profiling or a control plane other than the
-    /// default one requested from an analytic mode);
+    /// [`SimError::InvalidConfig`] for an inconsistent configuration.
+    /// Configuration is validated once, here, before either the analytic
+    /// or the engine path is taken; the message names the bad knob:
+    ///
+    /// - the scenario: no hosts, no VMs, a zero demand step, or a trace
+    ///   sampled at another step;
+    /// - the failure model: a probability outside `[0, 1)`, a hang factor
+    ///   below 1, or rack bursts with a zero rack size or duration;
+    /// - the timing: a zero horizon or control interval, or an interval
+    ///   longer than the horizon;
+    /// - the manager ([`ManagerConfig::validate`](agile_core::ManagerConfig::validate)):
+    ///   threshold ranges and ordering, zero action caps, the dead-band,
+    ///   a zero pre-wake lookahead, and its predictor
+    ///   ([`PredictorConfig::validate`](agile_core::PredictorConfig::validate))
+    ///   and recovery
+    ///   ([`RecoveryConfig::validate`](agile_core::RecoveryConfig::validate))
+    ///   knobs;
+    /// - the control plane: zero schedulers or more schedulers than hosts,
+    ///   or cluster capture, profiling or a control plane other than the
+    ///   default one requested from an analytic mode.
+    ///
     /// [`SimError::InitialPlacement`] / [`SimError::TraceIo`] as for the
     /// engine.
     pub fn build(self) -> Result<Simulation, SimError> {
         let invalid = |message: String| SimError::InvalidConfig { message };
         let experiment = &self.experiment;
+        experiment.scenario.validate().map_err(invalid)?;
+        experiment.failures.validate().map_err(invalid)?;
         let horizon = experiment.horizon;
         if horizon.as_secs_f64() <= 0.0 {
             return Err(invalid("horizon must be non-zero".to_string()));
@@ -128,7 +147,7 @@ impl SimulationBuilder {
         }
         experiment
             .resolve_config()
-            .try_validate()
+            .validate()
             .map_err(|e| invalid(format!("manager config: {e}")))?;
         let schedulers = experiment.schedulers;
         let default_plane =
@@ -261,8 +280,8 @@ pub struct SimOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scenario;
-    use agile_core::{ManagerConfig, PowerPolicy};
+    use crate::{FailureModel, Scenario};
+    use agile_core::{ManagerConfig, PowerPolicy, PredictorConfig, RecoveryConfig};
     use simcore::SimDuration;
 
     fn experiment(seed: u64) -> Experiment {
@@ -305,15 +324,147 @@ mod tests {
     }
 
     #[test]
-    fn invalid_manager_config_is_an_error_not_a_panic() {
-        // The default underload threshold (0.65) sits above this target:
-        // the legacy entry points panicked inside `VirtManager::new`; the
-        // builder reports the inconsistency as a value.
-        let cfg = ManagerConfig::new(PowerPolicy::reactive_suspend()).with_target_utilization(0.6);
-        let e = Experiment::new(Scenario::small_test(5)).manager_config(cfg);
-        let err = SimulationBuilder::new(e).build().unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("must be below"), "{err}");
+    fn invalid_knobs_are_rejected_at_build() {
+        let mins = SimDuration::from_mins;
+        let donor = Scenario::small_test(3);
+        let (hosts, fleet, step) = (donor.host_specs(), donor.fleet(), donor.demand_step());
+        let world = |hosts: &[cluster::HostSpec], fleet: &workload::Fleet, step| {
+            Experiment::new(Scenario::new("bad", hosts.to_vec(), fleet.clone(), step, 3))
+        };
+        let mgr = || ManagerConfig::new(PowerPolicy::reactive_suspend());
+        let with_mgr = |c: ManagerConfig| Experiment::new(donor.clone()).manager_config(c);
+        let with_rec = |r: RecoveryConfig| with_mgr(mgr().with_recovery(r));
+        let with_fail = |f: FailureModel| Experiment::new(donor.clone()).failure_model(f);
+        let rec = RecoveryConfig::new;
+        let none = FailureModel::none;
+        let rows: Vec<(Experiment, &str)> = vec![
+            // Manager ranges, orderings, caps, dead-band and pre-wake.
+            (
+                with_mgr(mgr().with_target_utilization(0.0)),
+                "target 0 outside",
+            ),
+            (
+                with_mgr(mgr().with_target_utilization(1.2)),
+                "target 1.2 outside",
+            ),
+            (
+                with_mgr(mgr().with_overload_threshold(1.6)),
+                "overload threshold 1.6",
+            ),
+            (
+                with_mgr(mgr().with_underload_threshold(1.0)),
+                "underload threshold 1",
+            ),
+            (
+                with_mgr(mgr().with_imbalance_threshold(0.0)),
+                "imbalance threshold 0",
+            ),
+            (
+                with_mgr(mgr().with_target_utilization(0.95)),
+                "target 0.95 must be below overload 0.9",
+            ),
+            (
+                with_mgr(mgr().with_target_utilization(0.6)),
+                "underload 0.65 must be below target 0.6",
+            ),
+            (
+                with_mgr(mgr().with_max_migrations_per_round(0)),
+                "migration per round",
+            ),
+            (
+                with_mgr(mgr().with_max_drains_per_round(0)),
+                "drain per round",
+            ),
+            (with_mgr(mgr().with_drain_deadband(-0.1)), "dead-band -0.1"),
+            (
+                with_mgr(mgr().with_drain_deadband(f64::NAN)),
+                "dead-band NaN",
+            ),
+            (
+                with_mgr(mgr().with_prewake(SimDuration::ZERO)),
+                "prewake lookahead",
+            ),
+            // Predictor.
+            (
+                with_mgr(mgr().with_predictor(PredictorConfig::Ewma { alpha: 0.0 })),
+                "predictor alpha 0",
+            ),
+            (
+                with_mgr(mgr().with_predictor(PredictorConfig::WindowMax { window: 0 })),
+                "predictor window",
+            ),
+            // Recovery.
+            (with_rec(rec().with_max_retries(0)), "retry"),
+            (
+                with_rec(rec().with_backoff(SimDuration::ZERO, mins(4))),
+                "backoff base",
+            ),
+            (
+                with_rec(rec().with_backoff(mins(10), mins(2))),
+                "backoff cap below base",
+            ),
+            (with_rec(rec().with_health(0.0, 0.05)), "health floor 0"),
+            (with_rec(rec().with_health(0.25, 1.0)), "health recovery 1"),
+            (
+                with_rec(rec().with_probation(SimDuration::ZERO)),
+                "probation",
+            ),
+            (
+                with_rec(rec().with_failsafe(SimDuration::ZERO, 8)),
+                "fail-safe window",
+            ),
+            (with_rec(rec().with_failsafe(mins(30), 0)), "fail-safe trip"),
+            // Failure model.
+            (
+                with_fail(FailureModel::new(1.0, 0.0)),
+                "resume failure probability 1",
+            ),
+            (
+                with_fail(FailureModel::new(0.0, -0.1)),
+                "boot failure probability -0.1",
+            ),
+            (
+                with_fail(none().with_migration_failures(f64::NAN)),
+                "migration failure probability NaN",
+            ),
+            (with_fail(none().with_hangs(1.0, 2.0)), "hang probability 1"),
+            (with_fail(none().with_hangs(0.1, 0.5)), "hang factor 0.5"),
+            (
+                with_fail(none().with_rack_bursts(0, 0.1, mins(10))),
+                "rack size",
+            ),
+            (
+                with_fail(none().with_rack_bursts(4, 0.1, SimDuration::ZERO)),
+                "rack burst duration",
+            ),
+            // Scenario, on the engine and on the analytic path.
+            (world(&[], fleet, step), "scenario needs hosts"),
+            (
+                world(&[], fleet, step).policy(PowerPolicy::oracle()),
+                "scenario needs hosts",
+            ),
+            (
+                world(
+                    hosts,
+                    &workload::Fleet::from_parts(Vec::new(), Vec::new()),
+                    step,
+                ),
+                "scenario needs VMs",
+            ),
+            (
+                world(hosts, fleet, SimDuration::ZERO),
+                "demand step must be non-zero",
+            ),
+            (world(hosts, fleet, mins(1)), "differs from the demand step"),
+        ];
+        for (experiment, knob) in rows {
+            let err = SimulationBuilder::new(experiment).build().unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig { .. }),
+                "{knob}: {err}"
+            );
+            assert!(err.to_string().contains(knob), "{knob}: {err}");
+        }
     }
 
     #[test]

@@ -24,8 +24,6 @@
 
 use simcore::SimDuration;
 
-use crate::SimError;
-
 /// Failure-injection knobs: per-transition probabilities plus hang and
 /// correlated-burst parameters.
 ///
@@ -59,19 +57,11 @@ pub struct FailureModel {
     rack_burst_duration: SimDuration,
 }
 
-fn check_prob(p: f64) -> Result<(), SimError> {
+fn check_prob(knob: &str, p: f64) -> Result<(), String> {
     if p.is_finite() && (0.0..1.0).contains(&p) {
         Ok(())
     } else {
-        Err(SimError::InvalidConfig {
-            message: format!("failure probability {p} outside [0, 1)"),
-        })
-    }
-}
-
-fn assert_prob(p: f64) {
-    if let Err(e) = check_prob(p) {
-        panic!("{e}");
+        Err(format!("{knob} probability {p} outside [0, 1)"))
     }
 }
 
@@ -91,15 +81,12 @@ impl FailureModel {
     }
 
     /// Creates a model with the given per-attempt transition failure
-    /// probabilities and no other failure kinds.
+    /// probabilities and no other failure kinds. Each must lie in
+    /// `[0, 1)` — a probability of 1.0 would make the host permanently
+    /// unrecoverable; checked by [`SimulationBuilder::build`].
     ///
-    /// # Panics
-    ///
-    /// Panics if either probability is outside `[0, 1)` — a probability
-    /// of 1.0 would make the host permanently unrecoverable.
+    /// [`SimulationBuilder::build`]: crate::SimulationBuilder::build
     pub fn new(resume_failure_prob: f64, boot_failure_prob: f64) -> Self {
-        assert_prob(resume_failure_prob);
-        assert_prob(boot_failure_prob);
         FailureModel {
             resume_failure_prob,
             boot_failure_prob,
@@ -107,124 +94,59 @@ impl FailureModel {
         }
     }
 
-    /// Fallible [`new`](FailureModel::new): the same validation, but an
-    /// out-of-range probability comes back as
-    /// [`SimError::InvalidConfig`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if either probability is outside `[0, 1)`.
-    pub fn try_new(resume_failure_prob: f64, boot_failure_prob: f64) -> Result<Self, SimError> {
-        check_prob(resume_failure_prob)?;
-        check_prob(boot_failure_prob)?;
-        Ok(FailureModel {
-            resume_failure_prob,
-            boot_failure_prob,
-            ..FailureModel::none()
-        })
-    }
-
     /// Adds per-attempt migration aborts: each live migration fails at
     /// its scheduled completion with probability `prob`, leaving the VM
-    /// on its source host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is outside `[0, 1)`.
+    /// on its source host. `prob` must lie in `[0, 1)`; checked by
+    /// [`SimulationBuilder::build`](crate::SimulationBuilder::build).
     pub fn with_migration_failures(mut self, prob: f64) -> Self {
-        assert_prob(prob);
         self.migration_failure_prob = prob;
         self
     }
 
-    /// Fallible
-    /// [`with_migration_failures`](FailureModel::with_migration_failures).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `prob` is outside `[0, 1)`.
-    pub fn try_with_migration_failures(mut self, prob: f64) -> Result<Self, SimError> {
-        check_prob(prob)?;
-        self.migration_failure_prob = prob;
-        Ok(self)
-    }
-
     /// Adds transition hangs: each power transition hangs with
     /// probability `prob`, stretching to `factor`× its nominal latency
-    /// before failing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is outside `[0, 1)` or `factor < 1`.
-    pub fn with_hangs(self, prob: f64, factor: f64) -> Self {
-        match self.try_with_hangs(prob, factor) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`with_hangs`](FailureModel::with_hangs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `prob` is outside `[0, 1)`
-    /// or `factor < 1`.
-    pub fn try_with_hangs(mut self, prob: f64, factor: f64) -> Result<Self, SimError> {
-        check_prob(prob)?;
-        if !(factor.is_finite() && factor >= 1.0) {
-            return Err(SimError::InvalidConfig {
-                message: format!("hang factor {factor} must be >= 1"),
-            });
-        }
+    /// before failing. `prob` must lie in `[0, 1)` and `factor >= 1`;
+    /// checked by [`SimulationBuilder::build`](crate::SimulationBuilder::build).
+    pub fn with_hangs(mut self, prob: f64, factor: f64) -> Self {
         self.hang_prob = prob;
         self.hang_factor = factor;
-        Ok(self)
+        self
     }
 
     /// Adds correlated rack outage bursts: hosts are grouped into racks
     /// of `rack_size` contiguous indices, and each control epoch each
     /// rack independently starts a burst with probability `prob` lasting
     /// `duration`; every power transition completing on a bursting rack
-    /// fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rack_size == 0`, `prob` is outside `[0, 1)`, or
-    /// `duration` is zero while `prob > 0`.
-    pub fn with_rack_bursts(self, rack_size: usize, prob: f64, duration: SimDuration) -> Self {
-        match self.try_with_rack_bursts(rack_size, prob, duration) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`with_rack_bursts`](FailureModel::with_rack_bursts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `rack_size == 0`, `prob`
-    /// is outside `[0, 1)`, or `duration` is zero while `prob > 0`.
-    pub fn try_with_rack_bursts(
-        mut self,
-        rack_size: usize,
-        prob: f64,
-        duration: SimDuration,
-    ) -> Result<Self, SimError> {
-        if rack_size == 0 {
-            return Err(SimError::InvalidConfig {
-                message: "rack size must be positive".to_string(),
-            });
-        }
-        check_prob(prob)?;
-        if prob > 0.0 && duration == SimDuration::ZERO {
-            return Err(SimError::InvalidConfig {
-                message: "rack burst duration must be positive".to_string(),
-            });
-        }
+    /// fails. `prob` must lie in `[0, 1)`, and while `prob > 0` both
+    /// `rack_size` and `duration` must be non-zero; checked by
+    /// [`SimulationBuilder::build`](crate::SimulationBuilder::build).
+    pub fn with_rack_bursts(mut self, rack_size: usize, prob: f64, duration: SimDuration) -> Self {
         self.rack_size = rack_size;
         self.rack_burst_prob = prob;
         self.rack_burst_duration = duration;
-        Ok(self)
+        self
+    }
+
+    /// The first knob outside its range, as a message naming it.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        check_prob("resume failure", self.resume_failure_prob)?;
+        check_prob("boot failure", self.boot_failure_prob)?;
+        check_prob("migration failure", self.migration_failure_prob)?;
+        check_prob("hang", self.hang_prob)?;
+        let factor = self.hang_factor;
+        if !(factor.is_finite() && factor >= 1.0) {
+            return Err(format!("hang factor {factor} must be >= 1"));
+        }
+        check_prob("rack burst", self.rack_burst_prob)?;
+        if self.rack_burst_prob > 0.0 {
+            if self.rack_size == 0 {
+                return Err("rack size must be positive".to_string());
+            }
+            if self.rack_burst_duration.is_zero() {
+                return Err("rack burst duration must be positive".to_string());
+            }
+        }
+        Ok(())
     }
 
     /// Probability one resume attempt fails.
@@ -326,47 +248,5 @@ mod tests {
         let m = FailureModel::none().with_rack_bursts(8, 0.0, SimDuration::ZERO);
         assert_eq!(m.rack_size(), 0);
         assert!(!m.is_active());
-    }
-
-    #[test]
-    fn try_variants_mirror_the_panicking_constructors() {
-        assert_eq!(
-            FailureModel::try_new(0.1, 0.02).unwrap(),
-            FailureModel::new(0.1, 0.02)
-        );
-        let err = FailureModel::try_new(1.0, 0.0).unwrap_err();
-        assert!(format!("{err}").contains("outside [0, 1)"), "{err}");
-        assert!(FailureModel::none()
-            .try_with_migration_failures(-0.1)
-            .is_err());
-        assert!(FailureModel::none().try_with_hangs(0.1, 0.5).is_err());
-        assert!(FailureModel::none()
-            .try_with_rack_bursts(0, 0.1, SimDuration::from_secs(60))
-            .is_err());
-        assert!(FailureModel::none()
-            .try_with_rack_bursts(4, 0.1, SimDuration::ZERO)
-            .is_err());
-        let ok = FailureModel::none()
-            .try_with_rack_bursts(8, 0.01, SimDuration::from_secs(600))
-            .unwrap();
-        assert_eq!(ok.rack_size(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1)")]
-    fn rejects_certain_failure() {
-        FailureModel::new(1.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be >= 1")]
-    fn rejects_shrinking_hang() {
-        FailureModel::none().with_hangs(0.1, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "rack burst duration")]
-    fn rejects_zero_length_burst() {
-        FailureModel::none().with_rack_bursts(4, 0.1, SimDuration::ZERO);
     }
 }

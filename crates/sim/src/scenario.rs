@@ -35,13 +35,11 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Builds a scenario from parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no hosts, the fleet is empty, `demand_step`
-    /// is zero, or a trace's step differs from `demand_step`. Use [`try_new`](Self::try_new) to get these as values
-    /// instead.
+    /// Builds a scenario from parts. The world needs hosts and VMs, a
+    /// non-zero `demand_step`, and every trace sampled at `demand_step`
+    /// (the engine reads every VM's demand from one sample-major table,
+    /// one row per step); checked by
+    /// [`SimulationBuilder::build`](crate::SimulationBuilder::build).
     pub fn new(
         name: impl Into<String>,
         host_specs: Vec<HostSpec>,
@@ -49,54 +47,34 @@ impl Scenario {
         demand_step: SimDuration,
         seed: u64,
     ) -> Self {
-        match Self::try_new(name, host_specs, fleet, demand_step, seed) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds a scenario from parts, reporting inconsistencies as values
-    /// — the `try_*` counterpart of [`new`](Self::new), for drivers that
-    /// assemble worlds from external input (CLI arguments, sweep specs).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::InvalidConfig`] if there are no hosts, the
-    /// fleet is empty, `demand_step` is zero, or any trace is sampled at
-    /// a step other than `demand_step` (the engine reads every VM's
-    /// demand from one sample-major table, one row per step).
-    pub fn try_new(
-        name: impl Into<String>,
-        host_specs: Vec<HostSpec>,
-        fleet: Fleet,
-        demand_step: SimDuration,
-        seed: u64,
-    ) -> Result<Self, crate::SimError> {
-        let invalid = |message: &str| crate::SimError::InvalidConfig {
-            message: message.to_string(),
-        };
-        if host_specs.is_empty() {
-            return Err(invalid("scenario needs hosts"));
-        }
-        if fleet.is_empty() {
-            return Err(invalid("scenario needs VMs"));
-        }
-        if demand_step.is_zero() {
-            return Err(invalid("demand step must be non-zero"));
-        }
-        if let Some(t) = fleet.traces().iter().find(|t| t.step() != demand_step) {
-            return Err(invalid(&format!(
-                "trace step {} differs from the demand step {demand_step}",
-                t.step()
-            )));
-        }
-        Ok(Scenario {
+        Scenario {
             name: name.into(),
             host_specs,
             fleet,
             demand_step,
             seed,
-        })
+        }
+    }
+
+    /// The first inconsistency in the world, as a message naming it.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.host_specs.is_empty() {
+            return Err("scenario needs hosts".to_string());
+        }
+        if self.fleet.is_empty() {
+            return Err("scenario needs VMs".to_string());
+        }
+        let step = self.demand_step;
+        if step.is_zero() {
+            return Err("demand step must be non-zero".to_string());
+        }
+        match self.fleet.traces().iter().find(|t| t.step() != step) {
+            Some(t) => Err(format!(
+                "trace step {} differs from the demand step {step}",
+                t.step()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// A tiny world for tests and the quickstart example: 4 prototype
@@ -284,71 +262,5 @@ mod tests {
         let s = Scenario::datacenter(16, 64, 2);
         let host_mem: f64 = s.host_specs().iter().map(|h| h.capacity().mem_gb).sum();
         assert!(s.fleet().total_mem_gb() < 0.5 * host_mem);
-    }
-
-    #[test]
-    fn try_new_reports_inconsistencies_as_values() {
-        use crate::SimError;
-        let donor = Scenario::small_test(1);
-        let step = donor.demand_step();
-        let err =
-            Scenario::try_new("no-hosts", Vec::new(), donor.fleet().clone(), step, 1).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("needs hosts"), "{err}");
-        let err = Scenario::try_new(
-            "no-vms",
-            donor.host_specs().to_vec(),
-            Fleet::from_parts(Vec::new(), Vec::new()),
-            step,
-            1,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("needs VMs"), "{err}");
-        let err = Scenario::try_new(
-            "no-step",
-            donor.host_specs().to_vec(),
-            donor.fleet().clone(),
-            SimDuration::ZERO,
-            1,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("non-zero"), "{err}");
-        let err = Scenario::try_new(
-            "step-mismatch",
-            donor.host_specs().to_vec(),
-            donor.fleet().clone(),
-            SimDuration::from_mins(1),
-            1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(
-            err.to_string().contains("differs from the demand step"),
-            "{err}"
-        );
-        // The happy path matches the panicking constructor.
-        let ok = Scenario::try_new(
-            "ok",
-            donor.host_specs().to_vec(),
-            donor.fleet().clone(),
-            step,
-            1,
-        )
-        .unwrap();
-        assert_eq!(ok.host_specs().len(), donor.host_specs().len());
-        assert_eq!(ok.fleet(), donor.fleet());
-    }
-
-    #[test]
-    #[should_panic(expected = "scenario needs hosts")]
-    fn new_still_panics_on_empty_hosts() {
-        let donor = Scenario::small_test(1);
-        let _ = Scenario::new(
-            "bad",
-            Vec::new(),
-            donor.fleet().clone(),
-            donor.demand_step(),
-            1,
-        );
     }
 }

@@ -1,4 +1,4 @@
 //! F10: consolidation headroom sweep.
-fn main() {
-    bench::print_experiment("F10", "Headroom sweep", &bench::exp_f10());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F10", "Headroom sweep", bench::exp_f10)
 }

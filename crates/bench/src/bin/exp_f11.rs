@@ -1,4 +1,4 @@
 //! F11: hysteresis sweep.
-fn main() {
-    bench::print_experiment("F11", "Hysteresis sweep", &bench::exp_f11());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F11", "Hysteresis sweep", bench::exp_f11)
 }

@@ -1,4 +1,4 @@
 //! F14: lifecycle churn (VM provisioning/retirement).
-fn main() {
-    bench::print_experiment("F14", "Lifecycle churn", &bench::exp_f14());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F14", "Lifecycle churn", bench::exp_f14)
 }

@@ -1,4 +1,4 @@
 //! F15: heterogeneous fleet (racks + blades).
-fn main() {
-    bench::print_experiment("F15", "Heterogeneous fleet", &bench::exp_f15());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F15", "Heterogeneous fleet", bench::exp_f15)
 }

@@ -1,4 +1,4 @@
 //! F16: power-curve shape ablation.
-fn main() {
-    bench::print_experiment("F16", "Power-curve shape ablation", &bench::exp_f16());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F16", "Power-curve shape ablation", bench::exp_f16)
 }

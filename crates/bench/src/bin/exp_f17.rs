@@ -1,4 +1,4 @@
 //! F17: management-interval sweep (the agility axis).
-fn main() {
-    bench::print_experiment("F17", "Management-interval sweep", &bench::exp_f17());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F17", "Management-interval sweep", bench::exp_f17)
 }

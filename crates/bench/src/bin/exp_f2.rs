@@ -1,4 +1,4 @@
 //! F2: single-host park/wake power trace.
-fn main() {
-    bench::print_experiment("F2", "Park/wake power trace (S3 vs S5)", &bench::exp_f2());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F2", "Park/wake power trace (S3 vs S5)", bench::exp_f2)
 }

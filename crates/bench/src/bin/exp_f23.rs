@@ -1,4 +1,4 @@
 //! F23: one-week weekday/weekend run.
-fn main() {
-    bench::print_experiment("F23", "One-week weekday/weekend run", &bench::exp_f23());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F23", "One-week weekday/weekend run", bench::exp_f23)
 }

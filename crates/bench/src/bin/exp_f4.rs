@@ -1,5 +1,4 @@
 //! F4: datacenter power over a diurnal day, four policies.
-fn main() {
-    let (f4, _) = bench::exp_f4_t5();
-    bench::print_experiment("F4", "Datacenter power over 24 h", &f4);
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F4", "Datacenter power over 24 h", || bench::exp_f4_t5().0)
 }

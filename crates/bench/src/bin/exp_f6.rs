@@ -1,4 +1,4 @@
 //! F6: energy-proportionality curves.
-fn main() {
-    bench::print_experiment("F6", "Energy proportionality", &bench::exp_f6());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F6", "Energy proportionality", bench::exp_f6)
 }

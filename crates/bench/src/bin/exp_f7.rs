@@ -1,4 +1,4 @@
 //! F7: flash-crowd responsiveness vs wake latency.
-fn main() {
-    bench::print_experiment("F7", "Responsiveness vs wake latency", &bench::exp_f7());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F7", "Responsiveness vs wake latency", bench::exp_f7)
 }

@@ -1,4 +1,4 @@
 //! F8: scale-out sweep.
-fn main() {
-    bench::print_experiment("F8", "Scale-out", &bench::exp_f8());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("F8", "Scale-out", bench::exp_f8)
 }

@@ -1,4 +1,4 @@
 //! T1: power-state characterization table.
-fn main() {
-    bench::print_experiment("T1", "Power-state characterization", &bench::exp_t1());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T1", "Power-state characterization", bench::exp_t1)
 }

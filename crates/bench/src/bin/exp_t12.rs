@@ -1,4 +1,4 @@
 //! T12: predictor ablation.
-fn main() {
-    bench::print_experiment("T12", "Predictor ablation", &bench::exp_t12());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T12", "Predictor ablation", bench::exp_t12)
 }

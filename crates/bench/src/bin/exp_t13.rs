@@ -1,4 +1,4 @@
 //! T13: reliability sensitivity (resume failure injection).
-fn main() {
-    bench::print_experiment("T13", "Reliability sensitivity", &bench::exp_t13());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T13", "Reliability sensitivity", bench::exp_t13)
 }

@@ -1,4 +1,4 @@
 //! T13b: failure-rate overhead (full fault surface, recovery active).
-fn main() {
-    bench::print_experiment("T13b", "Failure-rate overhead", &bench::exp_t13b());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T13b", "Failure-rate overhead", bench::exp_t13b)
 }

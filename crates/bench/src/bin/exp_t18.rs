@@ -1,4 +1,4 @@
 //! T18: proactive pre-wake ablation.
-fn main() {
-    bench::print_experiment("T18", "Proactive pre-wake ablation", &bench::exp_t18());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T18", "Proactive pre-wake ablation", bench::exp_t18)
 }

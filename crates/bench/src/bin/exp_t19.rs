@@ -1,4 +1,4 @@
 //! T19: seed-replicated policy summary (error bars on T5).
-fn main() {
-    bench::print_experiment("T19", "Seed-replicated policy summary", &bench::exp_t19());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T19", "Seed-replicated policy summary", bench::exp_t19)
 }

@@ -1,4 +1,4 @@
 //! T20: per-class SLA accounting (interactive vs batch).
-fn main() {
-    bench::print_experiment("T20", "Per-class SLA accounting", &bench::exp_t20());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T20", "Per-class SLA accounting", bench::exp_t20)
 }

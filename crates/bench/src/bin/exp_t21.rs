@@ -1,4 +1,4 @@
 //! T21: PSU conversion-loss sensitivity.
-fn main() {
-    bench::print_experiment("T21", "PSU conversion-loss sensitivity", &bench::exp_t21());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T21", "PSU conversion-loss sensitivity", bench::exp_t21)
 }

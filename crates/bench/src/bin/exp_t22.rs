@@ -1,4 +1,4 @@
 //! T22: DVFS-only vs consolidation.
-fn main() {
-    bench::print_experiment("T22", "DVFS-only vs consolidation", &bench::exp_t22());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T22", "DVFS-only vs consolidation", bench::exp_t22)
 }

@@ -1,4 +1,4 @@
 //! T24: consolidation packing ablation.
-fn main() {
-    bench::print_experiment("T24", "Consolidation packing ablation", &bench::exp_t24());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T24", "Consolidation packing ablation", bench::exp_t24)
 }

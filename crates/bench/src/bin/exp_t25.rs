@@ -1,4 +1,4 @@
 //! T25: simulator phase profile.
-fn main() {
-    bench::print_experiment("T25", "Simulator phase profile", &bench::exp_profile());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T25", "Simulator phase profile", bench::exp_profile)
 }

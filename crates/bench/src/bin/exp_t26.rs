@@ -1,4 +1,4 @@
 //! T26: savings-vs-SLO frontier for the joint sleep+speed ladder.
-fn main() {
-    bench::print_experiment("T26", "Savings-vs-SLO frontier", &bench::exp_t26());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T26", "Savings-vs-SLO frontier", bench::exp_t26)
 }

@@ -1,8 +1,4 @@
 //! T27: distributed control-plane degradation frontier.
-fn main() {
-    bench::print_experiment(
-        "T27",
-        "Control-plane degradation frontier",
-        &bench::exp_t27(),
-    );
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T27", "Control-plane degradation frontier", bench::exp_t27)
 }

@@ -1,5 +1,6 @@
 //! T5: policy summary table.
-fn main() {
-    let (_, t5) = bench::exp_f4_t5();
-    bench::print_experiment("T5", "Policy energy/performance summary", &t5);
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T5", "Policy energy/performance summary", || {
+        bench::exp_f4_t5().1
+    })
 }

@@ -1,4 +1,4 @@
 //! T9: management overhead vs base DRM.
-fn main() {
-    bench::print_experiment("T9", "Management overhead", &bench::exp_t9());
+fn main() -> std::process::ExitCode {
+    bench::cli::experiment("T9", "Management overhead", bench::exp_t9)
 }

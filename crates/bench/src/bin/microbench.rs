@@ -2,7 +2,10 @@
 //!
 //! Each case isolates one optimized mechanism; `scaleout` measures the
 //! composed effect. Run with `cargo run --release -p bench --bin
-//! microbench`. Numbers are best-of-N per [`bench::microbench::time`].
+//! microbench` (no arguments but `--help`). Numbers are best-of-N per
+//! [`bench::microbench::time`].
+
+use std::process::ExitCode;
 
 use agile_core::PowerPolicy;
 use cluster::AccountingMode;
@@ -10,7 +13,15 @@ use dcsim::{Experiment, Scenario, SimulationBuilder};
 use obs::SpanTracer;
 use workload::DemandTrace;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::cli::main_without_args(
+        "microbench",
+        "Times each optimized hot-path mechanism in isolation, best of N.",
+        microbench,
+    )
+}
+
+fn microbench() {
     // The composed steady-state loop: a full simulated day at 64 hosts,
     // incremental accounting vs the O(hosts × VMs) scan reference.
     let scenario = Scenario::datacenter(64, 384, bench::SEED);
@@ -87,29 +98,18 @@ fn main() {
     });
     assert!(enabled.node_count() > 1, "enabled tracer must record");
 
-    // Trace reads through the compact (quantized u16) representation vs
-    // dense f64 storage: same `at(t)` API, 4x smaller.
+    // Trace reads through dense `f64` storage: one week at 5-min steps.
     let step = scenario.demand_step();
-    let samples: Vec<f64> = (0..2016) // one week at 5-min steps
+    let samples: Vec<f64> = (0..2016)
         .map(|k| 0.5 + 0.4 * (k as f64 / 32.0).sin())
         .collect();
     let dense = DemandTrace::from_samples(step, samples);
-    let quantized = dense.clone().quantized();
     let horizon = simcore::SimTime::ZERO + step * dense.len() as u64;
     bench::microbench::time("trace_at_dense_2016", 8, 64, || {
         let mut acc = 0.0;
         let mut t = simcore::SimTime::ZERO;
         while t < horizon {
             acc += dense.at(t);
-            t += step;
-        }
-        acc
-    });
-    bench::microbench::time("trace_at_quantized_2016", 8, 64, || {
-        let mut acc = 0.0;
-        let mut t = simcore::SimTime::ZERO;
-        while t < horizon {
-            acc += quantized.at(t);
             t += step;
         }
         acc

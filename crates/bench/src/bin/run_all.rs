@@ -3,8 +3,9 @@
 //! Independent experiments run on a bounded worker pool (one worker per
 //! available core); output is printed in order once everything finishes,
 //! followed by a per-experiment runtime table and the simulator's own
-//! phase profile.
+//! phase profile. Takes no arguments but `--help`.
 
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 type Job = (
@@ -13,7 +14,16 @@ type Job = (
     Box<dyn Fn() -> String + Send + Sync>,
 );
 
-fn main() {
+fn main() -> ExitCode {
+    bench::cli::main_without_args(
+        "run_all",
+        "Runs every experiment of the evaluation, in order, and prints each\n\
+         followed by a per-experiment runtime table.",
+        run_all,
+    )
+}
+
+fn run_all() {
     let jobs: Vec<Job> = vec![
         (
             "T1",

@@ -1,31 +1,22 @@
 //! Scale-out hot-path benchmark (the F8 companion): wall-clock ticks/sec,
-//! profiler attribution, and peak RSS at increasing cluster sizes.
+//! setup seconds, profiler attribution, and peak RSS at increasing
+//! cluster sizes.
 //!
 //! Writes `BENCH_scaleout.json`. With `--check-baseline FILE` the run
 //! fails (exit 1) if ticks/sec at any matching size regresses more than
 //! 30 % below the checked-in baseline — the CI perf smoke gate.
 //! `--help` lists the flags; a misused flag exits 2 with a one-line
-//! usage error.
+//! usage error ([`bench::cli`]).
 
 use std::fmt;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use agile_core::{PlanMode, PowerPolicy};
+use bench::cli::UsageError;
 use cluster::AccountingMode;
 use dcsim::{Experiment, Scenario, SimulationBuilder};
 use obs::{Json, SpanSummary};
-
-/// Pre-optimization reference numbers, measured on this benchmark before
-/// the incremental-accounting/zero-alloc work landed (same scenario
-/// family, release build, single worker): `(hosts, ticks_per_sec,
-/// peak_rss_kb)`.
-const BEFORE: &[(usize, f64, u64)] = &[
-    (64, 17_979.0, 4_824),
-    (256, 2_575.0, 10_752),
-    (1024, 183.5, 33_940),
-    (4096, 12.7, 126_300),
-];
 
 /// Largest size at which the run is repeated in [`AccountingMode::Scan`]
 /// to cross-check the incremental report (the scan reference costs
@@ -40,6 +31,9 @@ struct Row {
     ticks: u64,
     wall_secs: f64,
     ticks_per_sec: f64,
+    /// Scenario generation plus `SimulationBuilder::build` of the best
+    /// run, in seconds.
+    setup_secs: f64,
     peak_rss_kb: u64,
     /// Planning mode of the measured run.
     plan_mode: PlanMode,
@@ -60,8 +54,8 @@ struct Row {
 const USAGE: &str = "\
 usage: scaleout [FLAGS]
 
-Measures ticks/s, span attribution and peak RSS at each cluster size and
-writes BENCH_scaleout.json.
+Measures ticks/s, setup seconds, span attribution and peak RSS at each
+cluster size and writes BENCH_scaleout.json.
 
   --sizes LIST          comma-separated host counts      [default 64,256,1024]
   --out PATH            output file              [default BENCH_scaleout.json]
@@ -77,19 +71,6 @@ writes BENCH_scaleout.json.
 
 A misused flag exits 2 with a one-line error.
 ";
-
-/// A command-line misuse — unknown flag, missing or malformed value —
-/// reported as one line and exit status 2 instead of a panic.
-#[derive(Debug)]
-struct UsageError(String);
-
-impl fmt::Display for UsageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for UsageError {}
 
 /// Parsed command-line options.
 struct Options {
@@ -177,10 +158,7 @@ fn main() -> ExitCode {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        Err(e) => {
-            eprintln!("scaleout: error: {e} (run `scaleout --help` for usage)");
-            return ExitCode::from(2);
-        }
+        Err(e) => return bench::cli::usage_error("scaleout", &e),
     };
     let Options {
         sizes,
@@ -216,21 +194,17 @@ fn main() -> ExitCode {
             schedulers,
             staleness,
         );
-        let before = BEFORE.iter().find(|(h, _, _)| *h == hosts);
         println!(
-            "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, peak RSS {} MB){}{}",
+            "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, {:.2} s setup, peak RSS {} MB){}",
             row.hosts,
             row.vms,
             row.ticks_per_sec,
             row.wall_secs,
+            row.setup_secs,
             row.peak_rss_kb / 1024,
             match row.scan_ticks_per_sec {
                 Some(tps) => format!(", scan ref {tps:.0} ticks/s, reports identical"),
                 None => String::from(", scan ref skipped (size cap)"),
-            },
-            match before {
-                Some((_, tps, _)) => format!(", {:.1}x vs pre-opt", row.ticks_per_sec / tps),
-                None => String::new(),
             },
         );
         rows.push(row);
@@ -260,11 +234,13 @@ fn measure(
     staleness: usize,
 ) -> Row {
     let vms = hosts * 6;
+    let t0 = Instant::now();
     let scenario = if ladder {
         Scenario::datacenter_ladder(hosts, vms, bench::SEED)
     } else {
         Scenario::datacenter(hosts, vms, bench::SEED)
     };
+    let generate_secs = t0.elapsed().as_secs_f64();
     let step = scenario.demand_step();
     // `--schedulers`/`--staleness` shape the control plane of the run
     // and of its scan reference.
@@ -272,7 +248,7 @@ fn measure(
     // Best-of-N: the minimum wall time is the least scheduler-noise-
     // polluted sample; every repeat is the same deterministic simulation,
     // so only timing varies.
-    let mut best: Option<(f64, _, _)> = None;
+    let mut best: Option<(f64, f64, _, _)> = None;
     for _ in 0..repeat {
         let exp = plane(
             Experiment::new(scenario.clone())
@@ -280,18 +256,19 @@ fn measure(
                 .plan_mode(plan_mode),
         );
         let t0 = Instant::now();
-        let out = SimulationBuilder::new(exp)
+        let sim = SimulationBuilder::new(exp)
             .profiling(true)
             .build()
-            .and_then(|sim| sim.run())
-            .expect("scale-out run failed");
+            .expect("scale-out build failed");
+        let build_secs = t0.elapsed().as_secs_f64();
+        let out = sim.run().expect("scale-out run failed");
         let wall = t0.elapsed().as_secs_f64();
         let spans = out.spans.expect("profiled run returns the span tree");
-        if best.as_ref().is_none_or(|(w, _, _)| wall < *w) {
-            best = Some((wall, out.report, spans));
+        if best.as_ref().is_none_or(|(w, _, _, _)| wall < *w) {
+            best = Some((wall, build_secs, out.report, spans));
         }
     }
-    let (wall_secs, report, spans) = best.expect("at least one repeat");
+    let (wall_secs, build_secs, report, spans) = best.expect("at least one repeat");
     let ticks = report.horizon.as_millis() / step.as_millis() + 1;
 
     // Rerun against the O(n)-scan references (scan accounting and scan
@@ -339,6 +316,7 @@ fn measure(
         ticks,
         wall_secs,
         ticks_per_sec: ticks as f64 / wall_secs,
+        setup_secs: generate_secs + build_secs,
         peak_rss_kb: peak_rss_kb(),
         plan_mode,
         scan_ticks_per_sec,
@@ -386,36 +364,25 @@ fn render_json(
     let mut out = format!(
         "{{\n  \"ladder\": {ladder},\n  \
          \"wake_slo_secs\": {wake_slo_secs},\n  \"schedulers\": {schedulers},\n  \
-         \"staleness\": {staleness},\n  \"before\": [\n"
+         \"staleness\": {staleness},\n  \"runs\": [\n"
     );
-    for (i, (hosts, tps, rss)) in BEFORE.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"hosts\": {hosts}, \"ticks_per_sec\": {tps:.1}, \"peak_rss_kb\": {rss}}}{}\n",
-            if i + 1 < BEFORE.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"runs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"hosts\": {}, \"vms\": {}, \"ticks\": {}, \"wall_secs\": {:.4}, \
-             \"ticks_per_sec\": {:.1}, \"peak_rss_kb\": {}, \"plan_mode\": \"{}\", ",
+             \"ticks_per_sec\": {:.1}, \"setup_secs\": {:.4}, \"peak_rss_kb\": {}, \
+             \"plan_mode\": \"{}\", ",
             r.hosts,
             r.vms,
             r.ticks,
             r.wall_secs,
             r.ticks_per_sec,
+            r.setup_secs,
             r.peak_rss_kb,
             r.plan_mode.label()
         ));
         if let Some(tps) = r.scan_ticks_per_sec {
             out.push_str(&format!(
                 "\"scan_ticks_per_sec\": {tps:.1}, \"scan_report_identical\": true, "
-            ));
-        }
-        if let Some((_, before_tps, _)) = BEFORE.iter().find(|(h, _, _)| *h == r.hosts) {
-            out.push_str(&format!(
-                "\"speedup_vs_before\": {:.2}, ",
-                r.ticks_per_sec / before_tps
             ));
         }
         out.push_str("\"phases\": {");

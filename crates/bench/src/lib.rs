@@ -3,7 +3,9 @@
 //! Each public `exp_*` function regenerates one table or figure of the
 //! paper's evaluation (see `DESIGN.md` for the experiment index) and
 //! returns its plain-text rendering. The binaries in `src/bin/` are thin
-//! wrappers; `run_all` executes the full evaluation.
+//! wrappers; `run_all` executes the full evaluation. Every binary answers
+//! misuse through [`cli`]: `--help` prints its usage, any other unknown
+//! argument exits 2 with one `error:` line.
 //!
 //! Scale note: the headline experiments run at 64 hosts / 256 VMs —
 //! large enough for the fleet-level effects, small enough to regenerate
@@ -14,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod charact;
+pub mod cli;
 pub mod control_plane;
 pub mod headline;
 pub mod microbench;

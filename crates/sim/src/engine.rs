@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Arc;
 
 use agile_core::{
     schedview, ClusterObservation, HostObservation, ManagementAction, PlacementFacts,
@@ -198,8 +199,9 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
 #[derive(Debug)]
 pub(crate) struct DatacenterSim {
     cluster: Cluster,
-    /// Every VM's demand fraction, sample-major (one row per trace step).
-    demand: DemandTable,
+    /// Every VM's demand fraction, sample-major (one row per trace step):
+    /// the fleet's own table, shared.
+    demand: Arc<DemandTable>,
     vm_caps: Vec<f64>,
     /// The control plane every run commits through, at the experiment's
     /// scheduler count, view staleness and control latency.
@@ -331,7 +333,7 @@ impl DatacenterSim {
         );
         Ok(DatacenterSim {
             cluster,
-            demand: DemandTable::build(scenario.fleet().traces(), horizon),
+            demand: Arc::clone(scenario.fleet().demand()),
             vm_caps: scenario
                 .fleet()
                 .vm_specs()

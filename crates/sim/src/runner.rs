@@ -237,6 +237,7 @@ impl Experiment {
         let num_hosts = hosts.len();
         let total_cap: f64 = hosts.iter().map(|h| h.capacity().cpu_cores).sum();
         let fleet = self.scenario.fleet();
+        let table = fleet.demand();
         let caps: Vec<f64> = fleet.vm_specs().iter().map(|s| s.cpu_cap_cores()).collect();
 
         let mut collector = MetricsCollector::new(interval);
@@ -246,11 +247,11 @@ impl Experiment {
         let mut hosts_on = simcore::TimeSeries::new();
         let mut util_acc = simcore::Welford::new();
         while t <= end {
-            let demand: f64 = fleet
-                .traces()
+            let demand: f64 = table
+                .row(table.row_at(t))
                 .iter()
                 .zip(&caps)
-                .map(|(trace, cap)| trace.at(t) * cap)
+                .map(|(s, cap)| s * cap)
                 .sum();
             let fleet_util = (demand / total_cap).clamp(0.0, 1.0);
             util_acc.push(fleet_util);
@@ -314,6 +315,7 @@ impl Experiment {
                 .expect("efficiency is finite")
         });
         let fleet = self.scenario.fleet();
+        let table = fleet.demand();
         let caps: Vec<f64> = fleet.vm_specs().iter().map(|s| s.cpu_cap_cores()).collect();
 
         let mut collector = MetricsCollector::new(interval);
@@ -323,11 +325,11 @@ impl Experiment {
         let mut hosts_on = simcore::TimeSeries::new();
         let mut util_acc = simcore::Welford::new();
         while t <= end {
-            let demand: f64 = fleet
-                .traces()
+            let demand: f64 = table
+                .row(table.row_at(t))
                 .iter()
                 .zip(&caps)
-                .map(|(trace, cap)| trace.at(t) * cap)
+                .map(|(s, cap)| s * cap)
                 .sum();
             // Take the shortest efficient prefix that fits the demand.
             let mut n = 0usize;

@@ -68,13 +68,13 @@ impl Scenario {
         if step.is_zero() {
             return Err("demand step must be non-zero".to_string());
         }
-        match self.fleet.traces().iter().find(|t| t.step() != step) {
-            Some(t) => Err(format!(
-                "trace step {} differs from the demand step {step}",
-                t.step()
-            )),
-            None => Ok(()),
+        let trace_step = self.fleet.demand().step();
+        if trace_step != step {
+            return Err(format!(
+                "trace step {trace_step} differs from the demand step {step}"
+            ));
         }
+        Ok(())
     }
 
     /// A tiny world for tests and the quickstart example: 4 prototype

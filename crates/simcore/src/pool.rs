@@ -7,20 +7,44 @@
 //!   single job) it degrades to a plain sequential loop with no thread or
 //!   synchronization overhead, so results are identical either way —
 //!   per-job determinism is the caller's responsibility and the pool
-//!   never reorders outputs.
+//!   never reorders outputs. A call made from inside a pool job runs on
+//!   that job's worker and adds threads only for idle cores, so nested
+//!   pools never oversubscribe the cores.
 //! * [`shard_ranges`] — a fixed, contiguous partition of `0..len`, a
 //!   pure function of `(len, shards)` (scheduler host partitions).
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
+
+thread_local! {
+    /// Whether this thread runs [`run_indexed`] jobs (a worker or a
+    /// helper).
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Threads running [`run_indexed`] jobs, process-wide. A plain count
+/// that guards no data, so `Relaxed` suffices.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
 
 /// Runs `num_jobs` jobs, `run(i)` for each index, on a bounded pool of
 /// worker threads; returns the results in index order.
 ///
 /// The worker count is `min(available_parallelism, num_jobs)`. With one
 /// worker the jobs run sequentially on the calling thread.
+///
+/// **Nesting.** Called from inside a job that a pool thread is running,
+/// it runs its jobs on that thread: the outer pool already holds the
+/// cores, so spawning a full pool would only oversubscribe them. Each
+/// time the thread claims a job, it also takes on one helper thread if a
+/// core is idle (fewer pool threads than cores run, say because the
+/// outer pool ran out of jobs), so a long nested batch at the tail of an
+/// outer pool still uses every core. This follows from where and when
+/// the call runs, not from a setting; the results are the same either
+/// way. A single outer job runs on the calling thread, not on a pool
+/// thread, so the jobs it nests spread over the cores.
 ///
 /// # Panics
 ///
@@ -31,26 +55,42 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(num_jobs);
-    if workers <= 1 {
+    let cores = thread::available_parallelism().map_or(1, |n| n.get());
+    let nested = IN_WORKER.get();
+    if num_jobs <= 1 || cores == 1 {
         return (0..num_jobs).map(run).collect();
     }
 
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..num_jobs).map(|_| Mutex::new(None)).collect();
+    let finish = |i: usize| {
+        let result = run(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(result);
+    };
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= num_jobs {
+            break;
+        }
+        finish(i);
+    };
     thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
+        if nested {
+            loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= num_jobs {
                     break;
                 }
-                let result = run(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
+                if i + 1 < num_jobs && reserve_idle_core(cores) {
+                    scope.spawn(|| pool_thread(work));
+                }
+                finish(i);
+            }
+        } else {
+            for _ in 0..cores.min(num_jobs) {
+                BUSY.fetch_add(1, Ordering::Relaxed);
+                scope.spawn(|| pool_thread(work));
+            }
         }
     });
     slots
@@ -61,6 +101,28 @@ where
                 .expect("worker completed every claimed job")
         })
         .collect()
+}
+
+/// Counts one more pool thread if fewer than `cores` run.
+fn reserve_idle_core(cores: usize) -> bool {
+    BUSY.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+        (busy < cores).then_some(busy + 1)
+    })
+    .is_ok()
+}
+
+/// The body of a pool thread whose [`BUSY`] slot is already counted:
+/// runs `work` and gives the slot back, also when a job panics.
+fn pool_thread(work: impl FnOnce()) {
+    struct Release;
+    impl Drop for Release {
+        fn drop(&mut self) {
+            BUSY.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+    let _release = Release;
+    IN_WORKER.set(true);
+    work();
 }
 
 /// Splits `0..len` into at most `shards` fixed, contiguous, near-equal,
@@ -89,6 +151,7 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn results_are_index_ordered() {
@@ -105,6 +168,45 @@ mod tests {
     #[test]
     fn single_job_runs_inline() {
         assert_eq!(run_indexed(1, |i| i + 41), vec![41]);
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_outer_worker() {
+        // One outer job per core, held together by barriers, so the outer
+        // pool holds every core while the nested calls run.
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let (start, end) = (Barrier::new(cores), Barrier::new(cores));
+        let outer = run_indexed(cores, |i| {
+            start.wait();
+            let here = thread::current().id();
+            let inner = run_indexed(9, |j| (thread::current().id(), i * 100 + j));
+            end.wait();
+            (here, inner)
+        });
+        assert_eq!(outer.len(), cores);
+        for (i, (here, inner)) in outer.into_iter().enumerate() {
+            let want: Vec<usize> = (0..9).map(|j| i * 100 + j).collect();
+            assert_eq!(inner.iter().map(|&(_, v)| v).collect::<Vec<_>>(), want);
+            assert!(
+                inner.iter().all(|&(id, _)| id == here),
+                "outer job {i}: an inner job left the outer job's thread"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_call_at_the_tail_of_a_pool_keeps_index_order() {
+        // Outer job 0 ends at once, so its worker leaves a core idle that
+        // the nested call in job 1 may recruit.
+        let outer = run_indexed(2, |i| {
+            if i == 0 {
+                Vec::new()
+            } else {
+                run_indexed(64, |j| j * j)
+            }
+        });
+        assert!(outer[0].is_empty());
+        assert_eq!(outer[1], (0..64).map(|j| j * j).collect::<Vec<_>>());
     }
 
     #[test]

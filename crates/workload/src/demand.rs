@@ -372,14 +372,30 @@ impl DemandProcess {
         rng: &mut RngStream,
         spike_windows: &[(SimTime, SimTime)],
     ) -> DemandTrace {
-        assert!(!step.is_zero(), "step must be non-zero");
-        let n = horizon.div_ceil(step);
-        assert!(n > 0, "horizon shorter than one step");
+        let mut samples = Vec::with_capacity(sample_count(horizon, step));
+        self.sample_into(horizon, step, rng, spike_windows, |_, v| samples.push(v));
+        DemandTrace::from_samples(step, samples)
+    }
 
-        let mut samples = Vec::with_capacity(n as usize);
+    /// The one sampling loop: passes sample `k` of the process, for each
+    /// of the [`sample_count`] instants in order, to `write(k, v)`. Fleet
+    /// generation writes straight into its demand table through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is zero or `horizon < step`.
+    pub(crate) fn sample_into(
+        &self,
+        horizon: SimDuration,
+        step: SimDuration,
+        rng: &mut RngStream,
+        spike_windows: &[(SimTime, SimTime)],
+        mut write: impl FnMut(usize, f64),
+    ) {
+        let n = sample_count(horizon, step);
         let mut ar = 0.0f64;
         for k in 0..n {
-            let t = SimTime::ZERO + step * k;
+            let t = SimTime::ZERO + step * k as u64;
             let mut v = self.shape.value_at(t);
             if let Some(noise) = self.noise {
                 ar = noise.rho * ar
@@ -394,9 +410,8 @@ impl DemandProcess {
                     v += sp.magnitude;
                 }
             }
-            samples.push(v.clamp(0.0, 1.0));
+            write(k, v.clamp(0.0, 1.0));
         }
-        DemandTrace::from_samples(step, samples)
     }
 
     /// Draws the Poisson spike windows for one horizon. Fleet generation
@@ -428,6 +443,18 @@ impl DemandProcess {
         }
         windows
     }
+}
+
+/// Samples in a trace of `horizon` at `step`: `horizon / step`, rounded
+/// up.
+///
+/// # Panics
+///
+/// Panics if `step` is zero or `horizon < step`.
+pub(crate) fn sample_count(horizon: SimDuration, step: SimDuration) -> usize {
+    let n = horizon.div_ceil(step);
+    assert!(n > 0, "horizon shorter than one step");
+    n as usize
 }
 
 #[cfg(test)]

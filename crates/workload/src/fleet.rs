@@ -1,9 +1,12 @@
 //! VM fleet generation: classes of VMs mixed by weight.
 
+use std::sync::Arc;
+
 use cluster::{Resources, ServiceClass, VmSpec};
 use simcore::{RngStream, SimDuration};
 
-use crate::{DemandProcess, DemandTrace, LifetimePlan};
+use crate::demand::sample_count;
+use crate::{Columns, DemandProcess, DemandTable, DemandTrace, LifetimePlan};
 
 /// A class of VMs sharing a resource footprint and demand process.
 ///
@@ -126,6 +129,16 @@ impl FleetSpec {
 
     /// Generates `count` VMs with demand traces over `horizon` sampled at
     /// `step`, deterministically from `seed`.
+    ///
+    /// The class picks share one stream, so they are drawn first, in VM
+    /// order. Every VM's samples come from its own substream, so the VMs
+    /// are then generated in parallel, one 64-VM column block per
+    /// [`simcore::pool::run_indexed`] job, straight into the fleet's
+    /// [`DemandTable`]. The result does not depend on the core count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 0` and `step` is zero or `horizon < step`.
     pub fn generate(
         &self,
         count: usize,
@@ -151,45 +164,61 @@ impl FleetSpec {
             })
             .collect();
 
-        let mut vm_specs = Vec::with_capacity(count);
-        let mut traces = Vec::with_capacity(count);
-        let mut class_of = Vec::with_capacity(count);
-        for i in 0..count {
-            let ci = pick_rng.weighted_index(&weights);
-            let class = &self.classes[ci];
-            let mut vm_rng = root.substream(1 + i as u64);
-            // Jitter each VM's phase by up to ±45 min of a 24 h cycle so
-            // VMs de-synchronize without flattening the fleet-wide swing.
-            let process = if class.jitter_phase {
-                class.process.with_phase_jitter(vm_rng.uniform(-0.03, 0.03))
-            } else {
-                class.process
-            };
-            vm_specs.push(VmSpec::new(class.resources).with_class(class.service_class));
-            traces.push(match &class_windows[ci] {
-                Some(windows) => {
-                    process.generate_with_spike_windows(horizon, step, &mut vm_rng, windows)
-                }
-                None => process.generate(horizon, step, &mut vm_rng),
-            });
-            class_of.push(ci);
-        }
-        let n = vm_specs.len();
+        let class_of: Vec<usize> = (0..count)
+            .map(|_| pick_rng.weighted_index(&weights))
+            .collect();
+        let vm_specs = class_of
+            .iter()
+            .map(|&ci| {
+                let class = &self.classes[ci];
+                VmSpec::new(class.resources).with_class(class.service_class)
+            })
+            .collect();
+        let rows = if count == 0 {
+            0
+        } else {
+            sample_count(horizon, step)
+        };
+        let demand = DemandTable::fill_blocks(step, count, rows, |vms, cols| {
+            for (j, i) in vms.enumerate() {
+                let ci = class_of[i];
+                let class = &self.classes[ci];
+                let mut vm_rng = root.substream(1 + i as u64);
+                // Jitter each VM's phase by up to ±45 min of a 24 h cycle
+                // so VMs de-synchronize without flattening the fleet-wide
+                // swing.
+                let process = if class.jitter_phase {
+                    class.process.with_phase_jitter(vm_rng.uniform(-0.03, 0.03))
+                } else {
+                    class.process
+                };
+                let own_windows;
+                let windows = match &class_windows[ci] {
+                    Some(windows) => windows,
+                    None => {
+                        own_windows = process.draw_spike_windows(horizon, &mut vm_rng);
+                        &own_windows
+                    }
+                };
+                process.sample_into(horizon, step, &mut vm_rng, windows, |k, v| cols[k][j] = v);
+            }
+        });
         Fleet {
             vm_specs,
-            traces,
+            demand: Arc::new(demand),
             class_of,
             class_names: self.classes.iter().map(|c| c.name.clone()).collect(),
-            lifetimes: LifetimePlan::all_permanent(n),
+            lifetimes: LifetimePlan::all_permanent(count),
         }
     }
 }
 
-/// A generated fleet: VM specs plus per-VM demand traces.
+/// A generated fleet: VM specs plus every VM's demand, held once in a
+/// shared [`DemandTable`] (cloning a fleet shares the table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     vm_specs: Vec<VmSpec>,
-    traces: Vec<DemandTrace>,
+    demand: Arc<DemandTable>,
     class_of: Vec<usize>,
     class_names: Vec<String>,
     lifetimes: LifetimePlan,
@@ -197,17 +226,18 @@ pub struct Fleet {
 
 impl Fleet {
     /// Builds a fleet directly from specs and traces (for hand-crafted
-    /// scenarios).
+    /// scenarios), transposing the traces into the fleet's table once.
     ///
     /// # Panics
     ///
-    /// Panics if the two vectors' lengths differ.
+    /// Panics if the two vectors' lengths differ or the traces do not all
+    /// share one sampling step.
     pub fn from_parts(vm_specs: Vec<VmSpec>, traces: Vec<DemandTrace>) -> Self {
         assert_eq!(vm_specs.len(), traces.len(), "specs/traces length mismatch");
         let n = vm_specs.len();
         Fleet {
             vm_specs,
-            traces,
+            demand: Arc::new(DemandTable::from_traces(&traces)),
             class_of: vec![0; n],
             class_names: vec!["custom".to_string()],
             lifetimes: LifetimePlan::all_permanent(n),
@@ -235,9 +265,16 @@ impl Fleet {
         &self.vm_specs
     }
 
-    /// The demand traces, indexed by `VmId::index()`.
-    pub fn traces(&self) -> &[DemandTrace] {
-        &self.traces
+    /// Every VM's demand, sample-major. The simulator shares this table
+    /// rather than copying it.
+    pub fn demand(&self) -> &Arc<DemandTable> {
+        &self.demand
+    }
+
+    /// The demand traces, indexed by `VmId::index()`: each a column of
+    /// [`demand`](Self::demand), read in place.
+    pub fn traces(&self) -> Columns<'_> {
+        self.demand.columns()
     }
 
     /// Class name of VM `i`.
@@ -262,10 +299,14 @@ impl Fleet {
     /// Aggregate demand in cores at trace sample `k` (each VM's demand
     /// fraction times its CPU cap).
     pub fn aggregate_demand_cores(&self, k: usize) -> f64 {
+        let Some(last) = self.demand.rows().checked_sub(1) else {
+            return 0.0;
+        };
+        let row = self.demand.row(k.min(last));
         self.vm_specs
             .iter()
-            .zip(&self.traces)
-            .map(|(spec, t)| t.sample(k.min(t.len() - 1)) * spec.cpu_cap_cores())
+            .zip(row)
+            .map(|(spec, s)| s * spec.cpu_cap_cores())
             .sum()
     }
 
@@ -283,7 +324,9 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Shape;
+    use crate::table::BLOCK;
+    use crate::{presets, Shape};
+    use simcore::pool;
 
     fn spec() -> FleetSpec {
         FleetSpec::new(vec![
@@ -348,8 +391,11 @@ mod tests {
             3,
         );
         // Without jitter all traces would be identical; with it they differ.
-        let first = &fleet.traces()[0];
-        assert!(fleet.traces().iter().any(|t| t != first));
+        let first = fleet.traces().get(0);
+        assert!(fleet
+            .traces()
+            .iter()
+            .any(|t| !t.samples().eq(first.samples())));
     }
 
     #[test]
@@ -366,8 +412,11 @@ mod tests {
         )
         .aligned()]);
         let fleet = s.generate(5, SimDuration::from_hours(2), SimDuration::from_mins(5), 3);
-        let first = &fleet.traces()[0];
-        assert!(fleet.traces().iter().all(|t| t == first));
+        let first = fleet.traces().get(0);
+        assert!(fleet
+            .traces()
+            .iter()
+            .all(|t| t.samples().eq(first.samples())));
     }
 
     #[test]
@@ -378,6 +427,96 @@ mod tests {
         assert!(fleet.total_mem_gb() >= 20.0 * 8.0);
         let agg = fleet.aggregate_demand_cores(0);
         assert!(agg > 0.0 && agg <= fleet.total_cpu_cap_cores());
+    }
+
+    /// The VM-major serial generation the parallel table replaced: each
+    /// VM's class pick and its `DemandProcess::generate` trace, from the
+    /// same substreams.
+    fn serial_reference(
+        spec: &FleetSpec,
+        count: usize,
+        horizon: SimDuration,
+        step: SimDuration,
+        seed: u64,
+    ) -> Vec<(usize, DemandTrace)> {
+        let root = RngStream::new(seed);
+        let mut pick_rng = root.substream(0);
+        let weights: Vec<f64> = spec.classes.iter().map(|c| c.weight).collect();
+        let class_windows: Vec<Option<Vec<_>>> = spec
+            .classes
+            .iter()
+            .enumerate()
+            .map(|(ci, class)| {
+                class.process.spikes().filter(|s| s.correlated).map(|_| {
+                    let mut class_rng = root.substream(1_000_000 + ci as u64);
+                    class.process.draw_spike_windows(horizon, &mut class_rng)
+                })
+            })
+            .collect();
+        (0..count)
+            .map(|i| {
+                let ci = pick_rng.weighted_index(&weights);
+                let class = &spec.classes[ci];
+                let mut vm_rng = root.substream(1 + i as u64);
+                let process = if class.jitter_phase {
+                    class.process.with_phase_jitter(vm_rng.uniform(-0.03, 0.03))
+                } else {
+                    class.process
+                };
+                let trace = match &class_windows[ci] {
+                    Some(w) => process.generate_with_spike_windows(horizon, step, &mut vm_rng, w),
+                    None => process.generate(horizon, step, &mut vm_rng),
+                };
+                (ci, trace)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_table_matches_serial_generation_bit_for_bit() {
+        // Correlated spike windows, per-VM spike windows on an aligned
+        // class, and a partial last 64-VM block.
+        let mut classes = presets::enterprise_with_spikes().classes().to_vec();
+        classes.push(
+            VmClass::new(
+                "stimulus",
+                Resources::new(1.0, 4.0),
+                DemandProcess::new(Shape::Step {
+                    low: 0.2,
+                    high: 0.7,
+                    at: SimDuration::from_hours(9),
+                })
+                .with_noise(0.9, 0.03)
+                .with_spikes(4.0, 0.2, SimDuration::from_mins(20)),
+                0.3,
+            )
+            .aligned(),
+        );
+        let spec = FleetSpec::new(classes);
+        let (horizon, step) = (SimDuration::from_hours(24), SimDuration::from_mins(5));
+        let count = 3 * BLOCK + 17;
+        let want = serial_reference(&spec, count, horizon, step, 11);
+        let check = |fleet: &Fleet| {
+            let table = fleet.demand();
+            assert_eq!(table.rows(), want[0].1.len());
+            assert_eq!(fleet.len(), count);
+            for (i, (ci, trace)) in want.iter().enumerate() {
+                assert_eq!(fleet.class_name(i), spec.classes[*ci].name, "vm {i}");
+                for k in 0..trace.len() {
+                    assert_eq!(
+                        table.get(k, i).to_bits(),
+                        trace.sample(k).to_bits(),
+                        "vm {i} sample {k}"
+                    );
+                }
+            }
+        };
+        // From the main thread the blocks spread over the cores; from
+        // inside a pool job they run on that job's worker.
+        check(&spec.generate(count, horizon, step, 11));
+        for fleet in pool::run_indexed(2, |_| spec.generate(count, horizon, step, 11)) {
+            check(&fleet);
+        }
     }
 
     #[test]

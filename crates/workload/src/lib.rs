@@ -13,8 +13,12 @@
 //!   [`DemandTrace`] with a seeded RNG stream.
 //! * [`VmClass`] / [`FleetSpec`] — VM population generation: classes with
 //!   resource footprints and demand processes, mixed by weight.
-//! * [`DemandTable`] — a fleet's traces transposed sample-major, the
-//!   simulator's one-row-per-tick demand read path.
+//! * [`DemandTable`] — a fleet's one demand store, sample-major (one row
+//!   per trace step), and the simulator's one-row-per-tick read path.
+//!   [`FleetSpec::generate`] writes it directly, 64-VM column blocks in
+//!   parallel on `simcore::pool`; [`Fleet::from_parts`] transposes
+//!   hand-built [`DemandTrace`]s into it once. [`Fleet::traces`] reads
+//!   each VM's trace back in place, as a [`Column`].
 //! * [`presets`] — the canonical fleets used by the experiment harness.
 //!
 //! # Example
@@ -35,16 +39,13 @@
 
 mod demand;
 mod fleet;
-pub mod io;
 mod lifetime;
 pub mod presets;
-mod stats;
 mod table;
 mod trace;
 
 pub use demand::{Ar1Noise, DemandProcess, Shape, SpikeProcess};
 pub use fleet::{Fleet, FleetSpec, VmClass};
 pub use lifetime::{Lifetime, LifetimePlan};
-pub use stats::TraceStats;
-pub use table::DemandTable;
+pub use table::{Column, ColumnIter, Columns, DemandTable};
 pub use trace::DemandTrace;

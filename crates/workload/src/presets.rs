@@ -177,7 +177,7 @@ mod tests {
         );
         // Aggregate demand at the daily peak should be well above the
         // trough — the swing consolidation exploits.
-        let samples = fleet.traces()[0].len();
+        let samples = fleet.demand().rows();
         let series: Vec<f64> = (0..samples)
             .map(|k| fleet.aggregate_demand_cores(k))
             .collect();
@@ -221,8 +221,8 @@ mod tests {
             1,
         );
         for t in fleet.traces() {
-            assert_eq!(t.samples()[0], 0.1);
-            assert_eq!(*t.samples().last().unwrap(), 0.9);
+            assert_eq!(t.sample(0), 0.1);
+            assert_eq!(t.sample(t.len() - 1), 0.9);
         }
     }
 
@@ -231,7 +231,7 @@ mod tests {
         let fleet =
             steady(0.5).generate(5, SimDuration::from_hours(1), SimDuration::from_mins(5), 1);
         for t in fleet.traces() {
-            assert!(t.samples().iter().all(|&s| s == 0.5));
+            assert!(t.samples().all(|s| s == 0.5));
         }
     }
 
@@ -254,7 +254,7 @@ mod tests {
                 seed,
             );
             let mass = |f: &crate::Fleet| -> f64 {
-                (0..f.traces()[0].len())
+                (0..f.demand().rows())
                     .map(|k| f.aggregate_demand_cores(k))
                     .sum()
             };
@@ -280,7 +280,7 @@ mod tests {
             .collect();
         assert!(web.len() > 10);
         let jump_instant = |i: usize| -> usize {
-            let s = fleet.traces()[i].samples();
+            let s: Vec<f64> = fleet.traces().get(i).samples().collect();
             (1..s.len())
                 .max_by(|&a, &b| (s[a] - s[a - 1]).partial_cmp(&(s[b] - s[b - 1])).unwrap())
                 .unwrap()

@@ -10,8 +10,8 @@
 //!   speedup), including a failure-injected variant — the work counters
 //!   that measure *how* each mode searched are mode-variant by design
 //!   and are compared structurally instead;
-//! * `u16`-quantized vs dense f64 demand traces carrying the same
-//!   decoded samples;
+//! * a generated fleet, whose demand table is written directly, vs a
+//!   hand-built fleet of the same samples transposed into its table;
 //! * pooled (`SweepBuilder::scale`) vs serial sweep execution;
 //! * a JSONL trace sink attached vs no sink at all;
 //! * the hierarchical span tracer enabled vs disabled (and with it the
@@ -203,43 +203,32 @@ fn indexed_planning_matches_scan_under_fault_injection() {
 }
 
 #[test]
-fn quantized_traces_match_dense_traces_with_the_same_samples() {
-    // Quantization itself is lossy, so the fair comparison is a
-    // quantized fleet against a dense fleet built from the *decoded*
-    // samples — those two must simulate bit-identically.
+fn hand_built_fleet_matches_the_generated_fleet() {
+    // A generated fleet writes its demand table directly; a hand-built
+    // fleet of the same samples goes through the one remaining transpose.
+    // Both must simulate bit-identically.
     check::check(
-        "quantized == dense-decoded traces",
+        "generated == hand-built from the same samples",
         &experiment_spec(),
         |spec| {
             let base = spec.scenario.build();
-            let decoded = |t: &DemandTrace| -> Vec<f64> {
-                let q = t.clone().quantized();
-                (0..q.len()).map(|k| q.sample(k)).collect()
-            };
-            let rebuild = |quantize: bool| {
-                let traces: Vec<DemandTrace> = base
-                    .fleet()
-                    .traces()
-                    .iter()
-                    .map(|t| {
-                        let dense = DemandTrace::from_samples(t.step(), decoded(t));
-                        if quantize {
-                            dense.quantized()
-                        } else {
-                            dense
-                        }
-                    })
-                    .collect();
-                let fleet = Fleet::from_parts(base.fleet().vm_specs().to_vec(), traces)
-                    .with_lifetime_plan(base.fleet().lifetimes().clone());
-                Scenario::new(
-                    base.name().to_string(),
-                    base.host_specs().to_vec(),
-                    fleet,
-                    base.demand_step(),
-                    base.seed(),
-                )
-            };
+            let step = base.demand_step();
+            let traces: Vec<DemandTrace> = base
+                .fleet()
+                .traces()
+                .iter()
+                .map(|t| DemandTrace::from_samples(step, t.samples().collect()))
+                .collect();
+            let fleet = Fleet::from_parts(base.fleet().vm_specs().to_vec(), traces)
+                .with_lifetime_plan(base.fleet().lifetimes().clone());
+            assert_eq!(fleet.demand(), base.fleet().demand());
+            let hand_built = Scenario::new(
+                base.name().to_string(),
+                base.host_specs().to_vec(),
+                fleet,
+                step,
+                base.seed(),
+            );
             let run = |scenario: Scenario| {
                 SimulationBuilder::new(
                     Experiment::new(scenario)
@@ -251,9 +240,9 @@ fn quantized_traces_match_dense_traces_with_the_same_samples() {
                 .run_report()
                 .map_err(|e| format!("{spec:?}: run failed: {e:?}"))
             };
-            let quantized = run(rebuild(true))?;
-            let dense = run(rebuild(false))?;
-            assert_equivalent(&rebuild(false), &quantized, &dense, "quantized-vs-dense")
+            let generated = run(base.clone())?;
+            let transposed = run(hand_built)?;
+            assert_equivalent(&base, &generated, &transposed, "generated-vs-hand-built")
         },
     );
 }
